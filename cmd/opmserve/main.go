@@ -2,7 +2,7 @@
 // serving layer (internal/serve) over the content-addressed result
 // store and the sweep engine. Most traffic is sub-millisecond hot-set
 // or journal hits; misses are admitted through per-class token buckets
-// and routed onto a pool of persistent sweep workers. SIGINT/SIGTERM
+// and computed on a pool of persistent sweep workers. SIGINT/SIGTERM
 // drains gracefully: accepted requests finish, then the store closes.
 //
 //	opmserve -store .opmstore -addr localhost:8080
@@ -36,7 +36,6 @@ func run() int {
 		addr    = flag.String("addr", "localhost:8080", "listen address")
 		storeD  = flag.String("store", "", "persistent result store directory (strongly recommended; empty serves from memory only)")
 		workers = flag.Int("workers", 4, "persistent sweep worker pool size")
-		router  = flag.String("router", "affinity", "cold-path shard router: affinity, least-loaded or round-robin")
 		hotSet  = flag.Int("hot", 4096, "hot-set capacity in cells (in-memory LRU in front of the journal)")
 		admit   = flag.String("admit", "", "admission overrides as class=rate:burst:queue, comma-separated; e.g. interactive=200:50:64,batch=50:16:256,refine=25:8:1024")
 
@@ -99,7 +98,6 @@ func run() int {
 		Policy:     policy,
 		Workers:    *workers,
 		HotSet:     *hotSet,
-		Router:     *router,
 		Classes:    classes,
 		TwinMaxErr: *twinMaxErr,
 	})
@@ -114,8 +112,8 @@ func run() int {
 		return 2
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(os.Stderr, "opmserve: serving on http://%s (workers=%d router=%s hot=%d store=%s)\n",
-		ln.Addr(), *workers, *router, *hotSet, *storeD)
+	fmt.Fprintf(os.Stderr, "opmserve: serving on http://%s (workers=%d hot=%d store=%s)\n",
+		ln.Addr(), *workers, *hotSet, *storeD)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

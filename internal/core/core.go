@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -188,7 +187,7 @@ func (m *Machine) PooledSim(w *sweep.Worker) (*memsim.Sim, error) {
 // MustRun is Run that panics on error.
 //
 // Deprecated: retained for examples and tests. Library and harness
-// code should call Run (or RunBatch) and surface the error.
+// code should call Run (or RunOn) and surface the error.
 func (m *Machine) MustRun(w trace.Workload) memsim.Result {
 	r, err := m.Run(w)
 	if err != nil {
@@ -217,7 +216,7 @@ func (m *Machine) RunDense(kind trace.DenseKind, n, nb int) (memsim.Result, erro
 // MustRunDense is RunDense that panics on error.
 //
 // Deprecated: retained for examples and tests. Library and harness
-// code should call RunDense (or RunDenseBatch) and surface the error.
+// code should call RunDense and surface the error.
 func (m *Machine) MustRunDense(kind trace.DenseKind, n, nb int) memsim.Result {
 	r, err := m.RunDense(kind, n, nb)
 	if err != nil {
@@ -240,53 +239,9 @@ func Machines(p *platform.Platform) ([]*Machine, error) {
 	return out, nil
 }
 
-// Job is one trace-simulation cell of a batch sweep: a workload on a
-// machine. When one Workload value is shared between jobs it is only
-// read during Simulate, so the built-in trace generators are safe to
-// share; stateful custom workloads should be one-per-job.
-type Job struct {
-	Machine  *Machine
-	Workload trace.Workload
-}
-
-// DenseJob is one analytic dense-model cell of a batch sweep.
+// DenseJob is one analytic dense-model cell of a sweep.
 type DenseJob struct {
 	Machine *Machine
 	Kind    trace.DenseKind
 	N, NB   int
-}
-
-// RunBatch executes trace-simulation jobs on the sweep engine and
-// returns their results in submission order. Each worker pools one
-// simulator per machine configuration; a failed job yields a zero
-// Result plus a sweep.JobError without stopping the sweep, and a
-// failure evicts that worker's pooled simulator so the next job
-// rebuilds it cold. With eng.Obs set, each finished job's per-level
-// cache and traffic counters are accumulated into the registry
-// (memsim.Sim.RecordMetrics).
-func RunBatch(ctx context.Context, eng *sweep.Engine, jobs []Job) ([]memsim.Result, error) {
-	return RunBatchCached(ctx, eng, jobs, nil)
-}
-
-// RunBatchCached is RunBatch with a persistent-store hook: jobs whose
-// digest is cached bypass simulation entirely, and every simulated
-// job is committed as it completes (see sweep.MapCached). A nil cache
-// reproduces RunBatch exactly. Every simulated cell passes through the
-// result gate (RunCell): invariant violations quarantine the result
-// instead of committing it.
-func RunBatchCached(ctx context.Context, eng *sweep.Engine, jobs []Job, cache sweep.Cache[Job, memsim.Result]) ([]memsim.Result, error) {
-	return RunBatchWith(ctx, eng, jobs, cache, Exact)
-}
-
-// RunDenseBatch executes analytic dense-model jobs on the sweep engine
-// and returns their results in submission order.
-func RunDenseBatch(ctx context.Context, eng *sweep.Engine, jobs []DenseJob) ([]memsim.Result, error) {
-	return RunDenseBatchCached(ctx, eng, jobs, nil)
-}
-
-// RunDenseBatchCached is RunDenseBatch with a persistent-store hook;
-// a nil cache reproduces RunDenseBatch exactly. Results pass through
-// the analytic half of the result gate (GateResult) before committing.
-func RunDenseBatchCached(ctx context.Context, eng *sweep.Engine, jobs []DenseJob, cache sweep.Cache[DenseJob, memsim.Result]) ([]memsim.Result, error) {
-	return RunDenseBatchWith(ctx, eng, jobs, cache, Exact)
 }

@@ -339,31 +339,48 @@ func TestRunOnRejectsMismatchedSim(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesSequential proves the parallel batch produces the
-// sequential path's results in submission order, and that a failing
-// job is isolated without poisoning its worker's pooled simulator.
+// cell is one trace-simulation sweep job: a workload on a machine.
+type cell struct {
+	m  *Machine
+	wl trace.Workload
+}
+
+// estimateCells evaluates cells on the sweep engine through the exact
+// estimator, as the harness sweeps do. onJob, when non-nil, sees each
+// job's worker before the estimate.
+func estimateCells(eng *sweep.Engine, cells []cell, onJob func(w *sweep.Worker, c cell)) ([]memsim.Result, error) {
+	return sweep.Map(context.Background(), eng, cells, func(ctx context.Context, w *sweep.Worker, c cell) (memsim.Result, error) {
+		if onJob != nil {
+			onJob(w, c)
+		}
+		return Exact.EstimateCell(ctx, eng, w, c.m, c.wl, CellKey(c.m, c.wl.Name(), c.wl.Flops()))
+	})
+}
+
+// TestRunBatchMatchesSequential proves a parallel sweep of exact cells
+// produces the sequential path's results in submission order.
 func TestRunBatchMatchesSequential(t *testing.T) {
 	brd := platform.Broadwell()
 	machines, err := Machines(brd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobs []Job
+	var cells []cell
 	for _, m := range machines {
 		for _, mb := range []int64{8, 32, 96} {
-			jobs = append(jobs, Job{Machine: m, Workload: trace.NewStream(brd.ScaledBytes(mb << 20))})
+			cells = append(cells, cell{m, trace.NewStream(brd.ScaledBytes(mb << 20))})
 		}
 	}
-	want := make([]memsim.Result, len(jobs))
-	for i, j := range jobs {
-		r, err := j.Machine.Run(j.Workload)
+	want := make([]memsim.Result, len(cells))
+	for i, c := range cells {
+		r, err := c.m.Run(c.wl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = r
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := RunBatch(context.Background(), &sweep.Engine{Workers: workers}, jobs)
+		got, err := estimateCells(&sweep.Engine{Workers: workers}, cells, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -375,23 +392,37 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunBatchIsolatesFailures injects a bad job between good ones on a
-// single worker: the good jobs must still match the sequential results
-// exactly (the pooled simulator was not poisoned), and the bad job must
-// surface as a sweep.JobError at its submission index.
+// TestRunBatchIsolatesFailures injects a bad cell between good ones on
+// a single worker: the failure surfaces as a sweep.JobError at its
+// submission index and evicts the worker's pooled simulator, and the
+// later cell on that worker, on a rebuilt simulator, still matches
+// Machine.Run exactly.
 func TestRunBatchIsolatesFailures(t *testing.T) {
 	brd := platform.Broadwell()
 	m := MustMachine(brd, memsim.ModeEDRAM)
 	good := trace.NewStream(brd.ScaledBytes(64 << 20))
-	jobs := []Job{
-		{Machine: m, Workload: good},
-		{Machine: m, Workload: fakeWorkload{}}, // unknown kernel: props error after simulating
-		{Machine: m, Workload: good},
+	cells := []cell{
+		{m, good},
+		{m, fakeWorkload{}}, // unknown kernel: props error after simulating
+		{m, good},
 	}
-	got, err := RunBatch(context.Background(), &sweep.Engine{Workers: 1}, jobs)
+	var sims []*memsim.Sim // the pooled simulator each job starts on
+	got, err := estimateCells(&sweep.Engine{Workers: 1}, cells, func(w *sweep.Worker, c cell) {
+		sim, err := c.m.PooledSim(w)
+		if err != nil {
+			t.Error(err)
+		}
+		sims = append(sims, sim)
+	})
 	var errs sweep.Errors
 	if !errors.As(err, &errs) || len(errs) != 1 || errs[0].Index != 1 {
 		t.Fatalf("want one JobError at index 1, got %v", err)
+	}
+	if sims[1] != sims[0] {
+		t.Fatal("the second cell did not reuse the worker's pooled simulator")
+	}
+	if sims[2] == sims[1] {
+		t.Fatal("the failed cell did not evict its worker's pooled simulator")
 	}
 	want, err2 := m.Run(good)
 	if err2 != nil {
@@ -405,8 +436,8 @@ func TestRunBatchIsolatesFailures(t *testing.T) {
 	}
 }
 
-// TestRunDenseBatchMatchesSequential checks the analytic dense batch
-// against direct RunDense calls.
+// TestRunDenseBatchMatchesSequential checks a sweep of exact dense
+// cells against direct RunDense calls.
 func TestRunDenseBatchMatchesSequential(t *testing.T) {
 	knl := platform.KNL()
 	machines, err := Machines(knl)
@@ -419,7 +450,10 @@ func TestRunDenseBatchMatchesSequential(t *testing.T) {
 			jobs = append(jobs, DenseJob{Machine: m, Kind: trace.DenseGEMM, N: 8192, NB: nb})
 		}
 	}
-	got, err := RunDenseBatch(context.Background(), &sweep.Engine{Workers: 3}, jobs)
+	eng := &sweep.Engine{Workers: 3}
+	got, err := sweep.Map(context.Background(), eng, jobs, func(ctx context.Context, _ *sweep.Worker, j DenseJob) (memsim.Result, error) {
+		return Exact.EstimateDense(ctx, eng, j, DenseCellKey(j))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

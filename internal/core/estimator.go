@@ -12,7 +12,7 @@ import (
 )
 
 // Estimator is the pluggable evaluation policy behind every sweep
-// cell. The harness runners and batch entry points are written against
+// cell. The harness runners and the serve daemon are written against
 // this interface, not against the per-access simulator, so the same
 // figure can be produced by the exact simulation (Exact), by the
 // analytic stepping twin (internal/twin), or by an escalation policy
@@ -90,28 +90,4 @@ func (ExactEstimator) EstimateDense(ctx context.Context, eng *sweep.Engine, j De
 // the result injection point — the dense counterpart of CellKey.
 func DenseCellKey(j DenseJob) string {
 	return fmt.Sprintf("%s|n=%d|nb=%d|%s", j.Kind, j.N, j.NB, j.Machine.Label())
-}
-
-// RunBatchWith is RunBatchCached with an explicit estimator: every
-// cell is evaluated by est instead of the exact simulation. A nil
-// estimator means Exact, reproducing RunBatchCached exactly.
-func RunBatchWith(ctx context.Context, eng *sweep.Engine, jobs []Job, cache sweep.Cache[Job, memsim.Result], est Estimator) ([]memsim.Result, error) {
-	if est == nil {
-		est = Exact
-	}
-	return sweep.MapCached(ctx, eng, jobs, cache, func(ctx context.Context, w *sweep.Worker, j Job) (memsim.Result, error) {
-		key := CellKey(j.Machine, j.Workload.Name(), j.Workload.Flops())
-		return est.EstimateCell(ctx, eng, w, j.Machine, j.Workload, key)
-	})
-}
-
-// RunDenseBatchWith is RunDenseBatchCached with an explicit estimator;
-// a nil estimator means Exact.
-func RunDenseBatchWith(ctx context.Context, eng *sweep.Engine, jobs []DenseJob, cache sweep.Cache[DenseJob, memsim.Result], est Estimator) ([]memsim.Result, error) {
-	if est == nil {
-		est = Exact
-	}
-	return sweep.MapCached(ctx, eng, jobs, cache, func(ctx context.Context, _ *sweep.Worker, j DenseJob) (memsim.Result, error) {
-		return est.EstimateDense(ctx, eng, j, DenseCellKey(j))
-	})
 }

@@ -16,7 +16,7 @@
 //
 // Injection points and their kinds:
 //
-//	job     transient | permanent | panic | delay   (sweep.Map, pre-fn)
+//	job     transient | permanent | panic | delay   (sweep.Run, pre-fn)
 //	result  corrupt                                 (core result gate)
 //	store   torn | corrupt                          (store.Put framing)
 //	proc    kill | hang | torn                      (shard worker loop)

@@ -6,8 +6,10 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/memsim"
 	"repro/internal/platform"
 	"repro/internal/plot"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -34,6 +36,16 @@ func denseGrid(p *platform.Platform, full bool) (orders, blocks []int) {
 		blocks = append(blocks, nb)
 	}
 	return orders, blocks
+}
+
+// runDense evaluates analytic dense-model cells on the sweep engine
+// through the options' estimator and dense store cache, returning the
+// results in submission order.
+func runDense(ctx context.Context, opt Options, jobs []core.DenseJob) ([]memsim.Result, error) {
+	eng, est := opt.engine(), opt.estimator()
+	return sweep.MapCached(ctx, eng, jobs, denseCache(opt), func(ctx context.Context, _ *sweep.Worker, j core.DenseJob) (memsim.Result, error) {
+		return est.EstimateDense(ctx, eng, j, core.DenseCellKey(j))
+	})
 }
 
 func denseKind(kernel string) (trace.DenseKind, error) {
@@ -76,7 +88,7 @@ func denseHeatmapRunner(platName, kernel string) func(context.Context, Options) 
 		opt.logger().Debug("dense sweep starting", "platform", platName, "kernel", kernel,
 			"cells", len(jobs))
 		sp := opt.Obs.StartSpan("dense/" + platName + "/" + kernel + "/sweep") //opmlint:allow counternames — platform and kernel come from the closed registry roster; the dense/<plat>/<kernel> namespace is enumerable
-		results, err := core.RunDenseBatchWith(ctx, opt.engine(), jobs, denseCache(opt), opt.estimator())
+		results, err := runDense(ctx, opt, jobs)
 		sp.End()
 		if err != nil {
 			// Dense cells fail only for systematic reasons (bad grid or

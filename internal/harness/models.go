@@ -199,7 +199,7 @@ func runFig1(ctx context.Context, opt Options) (*Report, error) {
 				jobs = append(jobs, core.DenseJob{Machine: m, Kind: trace.DenseGEMM, N: n, NB: nb})
 			}
 		}
-		results, err := core.RunDenseBatchWith(ctx, opt.engine(), jobs, denseCache(opt), opt.estimator())
+		results, err := runDense(ctx, opt, jobs)
 		if err != nil {
 			return nil, err
 		}

@@ -39,7 +39,7 @@ func kernelSeries(ctx context.Context, platName, kernel string, opt Options) (ma
 				}
 			}
 		}
-		results, err := core.RunDenseBatchWith(ctx, opt.engine(), jobs, denseCache(opt), opt.estimator())
+		results, err := runDense(ctx, opt, jobs)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -74,7 +74,6 @@ const (
 	EvServeHot  = "serve/hot_hit" // hot-set hit — served from memory, no disk, no pool (dur: lookup)
 	EvAdmit     = "serve/admit"   // admission granted (dur: queue wait, detail: class)
 	EvReject    = "serve/reject"  // admission rejected with 429 (detail: class)
-	EvRoute     = "serve/route"   // router picked a worker shard (detail: policy:shard)
 	EvRefine    = "serve/refine"  // background exact refinement committed (dur: compute)
 
 	// Sharded-execution events (internal/shard). Assign/steal/restart

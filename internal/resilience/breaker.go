@@ -103,6 +103,18 @@ func (b *Breaker) Failure() bool {
 	return false
 }
 
+// Release records an admitted job that ended without a verdict — its
+// caller's context was cancelled. The consecutive count is untouched;
+// a half-open breaker re-opens with its cooldown already elapsed, so
+// the next caller becomes the probe instead of the family staying
+// wedged behind a probe that will never report.
+func (b *Breaker) Release() {
+	if b == nil {
+		return
+	}
+	b.state.CompareAndSwap(breakerHalfOpen, breakerOpen)
+}
+
 // Tripped reports whether the breaker is open or probing (i.e. not
 // fully closed).
 func (b *Breaker) Tripped() bool {

@@ -70,6 +70,36 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	}
 }
 
+// TestBreakerReleaseHandsBackProbe checks a probe that ends without a
+// verdict (its caller was cancelled) does not wedge the breaker: the
+// next caller probes at once, no trip is counted, and a closed
+// breaker's consecutive count is untouched.
+func TestBreakerReleaseHandsBackProbe(t *testing.T) {
+	b, clk := testBreaker(2, time.Second)
+	b.Failure()
+	b.Failure()
+	clk.advance(time.Second)
+	if !b.Allow() {
+		t.Fatal("no probe admitted after cooldown")
+	}
+	b.Release()
+	if !b.Allow() {
+		t.Fatal("released probe slot not handed to the next caller")
+	}
+	if b.trips.Load() != 1 {
+		t.Fatalf("trips = %d after a released probe, want 1", b.trips.Load())
+	}
+	b.Success()
+	b.Failure()
+	b.Release()
+	if b.Tripped() {
+		t.Fatal("Release on a closed breaker changed its state")
+	}
+	if !b.Failure() {
+		t.Fatal("Release reset the consecutive-failure count")
+	}
+}
+
 // TestBreakerZeroCooldownStaysOpen pins the batch-sweep contract: with
 // no cooldown configured an open breaker never half-opens, no matter
 // how much time passes.

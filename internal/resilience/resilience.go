@@ -1,15 +1,17 @@
 // Package resilience is the fault-handling policy layer of the sweep
 // pipeline: per-job retry with capped exponential backoff and seeded
-// jitter, per-attempt deadlines, a per-sweep-family circuit breaker,
-// and the error taxonomy (transient vs permanent vs quarantined) the
-// retry loop classifies failures with.
+// jitter, per-attempt deadlines, a circuit breaker per sweep (or, in
+// the serve daemon, per kernel family), and the error taxonomy
+// (transient vs permanent vs quarantined) the retry loop classifies
+// failures with (Retryable).
 //
 // The package is policy only — it decides whether to retry, how long
-// to wait, and when to stop trying; the sweep engine owns the loop
-// that applies those decisions (sweep.Map). Everything is
-// deterministic for a given Policy.Seed: backoff jitter derives from a
-// hash of (seed, job key, attempt), never from a global RNG or the
-// clock, so two runs of the same faulty sweep retry identically.
+// to wait, and when to stop trying; the sweep engine owns the one loop
+// that applies those decisions (sweep.Run, which runs every sweep.Map
+// job and every cold serve cell). Everything is deterministic for a
+// given Policy.Seed: backoff jitter derives from a hash of (seed, job
+// key, attempt), never from a global RNG or the clock, so two runs of
+// the same faulty sweep retry identically.
 //
 // Like internal/obs, a nil *Policy is the off switch: every method is
 // nil-safe and reproduces the pre-resilience behaviour (one attempt,
@@ -56,9 +58,6 @@ type Policy struct {
 	// which is what finite sweeps want; the long-running serve daemon
 	// sets a cooldown so a transiently broken family recovers.
 	BreakerCooldown time.Duration
-	// Classify, when non-nil, overrides Retryable as the transient-
-	// failure test.
-	Classify func(error) bool
 	// Sleep, when non-nil, replaces the context-aware backoff sleep —
 	// the test seam for the cancellation-during-backoff races.
 	Sleep func(context.Context, time.Duration) error
@@ -78,14 +77,6 @@ func (p *Policy) Timeout() time.Duration {
 		return 0
 	}
 	return p.JobTimeout
-}
-
-// Retryable reports whether the policy classifies err as transient.
-func (p *Policy) Retryable(err error) bool {
-	if p != nil && p.Classify != nil {
-		return p.Classify(err)
-	}
-	return Retryable(err)
 }
 
 // Backoff returns the deterministic pre-retry delay for a job: capped

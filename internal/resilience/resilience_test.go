@@ -75,11 +75,6 @@ func TestRetryableClassification(t *testing.T) {
 			t.Errorf("%s: Retryable = %v, want %v", c.name, got, c.want)
 		}
 	}
-	// A custom classifier overrides the default.
-	p := &Policy{Classify: func(error) bool { return true }}
-	if !p.Retryable(errors.New("anything")) {
-		t.Fatal("Classify override ignored")
-	}
 }
 
 // TestQuarantineWrapping checks the quarantine error carries its key

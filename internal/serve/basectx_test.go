@@ -11,27 +11,23 @@ import (
 // Regression tests for the background-work context plumbing the
 // ctxflow check surfaced: batch sweep jobs and twin-first refinements
 // used to run under context.Background(), so a Drain that gave up left
-// them computing headless forever, and workerPool.run could block on a
-// full shard queue with no way to abandon the wait.
+// them computing headless forever, and workerPool.run could block
+// waiting for a worker with no way to abandon the wait.
 
 // TestWorkerPoolRunCancelledBeforeEnqueue proves a cancelled caller
-// never dispatches: fn must not run and the shard loads stay balanced.
+// never dispatches: fn must not run and no worker stays lent out.
 func TestWorkerPoolRunCancelledBeforeEnqueue(t *testing.T) {
-	pool := newWorkerPool(2, &roundRobinRouter{})
-	defer pool.close(context.Background()) //nolint:errcheck
-
+	pool := newWorkerPool(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := pool.run(ctx, "k", func(w *sweep.Worker) {
+	err := pool.run(ctx, func(w *sweep.Worker) {
 		t.Error("fn ran under a cancelled context")
 	})
 	if err == nil {
 		t.Fatal("run with cancelled context returned nil error")
 	}
-	for i, l := range pool.snapshot() {
-		if l != 0 {
-			t.Fatalf("shard %d load %d after cancelled run, want 0", i, l)
-		}
+	if n := pool.busy(); n != 0 {
+		t.Fatalf("%d workers lent out after a cancelled run, want 0", n)
 	}
 }
 
@@ -61,7 +57,7 @@ func TestDrainInterruptedCancelsBase(t *testing.T) {
 	}
 	// Work holding its drain slot now observes cancellation wherever it
 	// threads s.base — the pool refuses before dispatch.
-	if _, err := srv.pool.run(srv.base, "k", func(w *sweep.Worker) {
+	if err := srv.pool.run(srv.base, func(w *sweep.Worker) {
 		t.Error("dispatched after base cancellation")
 	}); err == nil {
 		t.Fatal("pool.run under cancelled base returned nil error")
@@ -69,8 +65,8 @@ func TestDrainInterruptedCancelsBase(t *testing.T) {
 }
 
 // TestDrainCleanShutsPoolAndBase proves the orderly path: an
-// uncontested drain closes the worker pool within its ctx and also
-// releases the base context (nothing should outlive a drained server).
+// uncontested drain returns within its ctx and also releases the base
+// context (nothing should outlive a drained server).
 func TestDrainCleanShutsPoolAndBase(t *testing.T) {
 	srv, err := New(Config{Registry: obs.NewRegistry(), Workers: 2})
 	if err != nil {

@@ -12,7 +12,8 @@ import (
 // asynchronously under the "batch" admission class, and returns a job
 // ID to poll on GET /v1/jobs/{id}. Batch cells run through exactly the
 // same serving path as single queries — hot set, journal, admission,
-// router — so a sweep re-requesting warm cells costs memory lookups.
+// worker pool — so a sweep re-requesting warm cells costs memory
+// lookups.
 
 // SweepRequest is the body of POST /v1/sweep.
 type SweepRequest struct {

@@ -3,18 +3,20 @@
 // on platform P in OPM mode X?" answered at production latency. The
 // request path is layered (DESIGN.md §13):
 //
-//	hot set  →  journal  →  admission  →  router  →  compute
+//	hot set  →  journal  →  admission  →  worker pool  →  compute
 //
 // An in-memory LRU hot set keyed by store content digests sits in
 // front of the journal — hits serve the exact bytes a batch run
 // journaled and never touch disk or the worker pool. Journal hits
 // promote into the hot set. Misses pass token-bucket admission control
-// (per-class rates, bounded wait queue, 429 + Retry-After on overflow)
-// and a pluggable router — round-robin, least-loaded, or
-// cache-affinity — onto a pool of persistent sweep workers whose
-// pooled simulators stay warm across requests. Computed cells are
-// journaled under the same digests the batch sweeps use, so the daemon
-// and opmbench warm each other.
+// (per-class rates, bounded wait queue, 429 + Retry-After on overflow),
+// then borrow the lowest-numbered idle one of a fixed set of
+// persistent sweep workers, whose pooled simulators stay warm across
+// requests, and compute on the request's own goroutine through
+// sweep.Run — the runner batch sweeps use, with one circuit breaker
+// per kernel family. Computed cells are journaled under the same
+// digests the batch sweeps use, so the daemon and opmbench warm each
+// other.
 //
 // Twin-first answering ("estimator": "twin-first") responds from the
 // analytic twin within its calibrated error bound and enqueues the
@@ -62,9 +64,6 @@ type Config struct {
 	Workers int
 	// HotSet is the LRU capacity in cells (default 4096).
 	HotSet int
-	// Router selects the shard policy: "affinity" (default),
-	// "least-loaded", or "round-robin".
-	Router string
 	// Classes overrides the admission classes (default
 	// DefaultClasses).
 	Classes map[string]ClassConfig
@@ -91,7 +90,6 @@ type Server struct {
 
 	estimators map[string]core.Estimator
 	bounds     map[string]float64 // twin.Family → calibrated MAPE
-	policy     *resilience.Policy
 
 	breakerMu sync.Mutex
 	breakers  map[string]*resilience.Breaker // per kernel family
@@ -116,10 +114,6 @@ type Server struct {
 
 // New builds a Server from cfg.
 func New(cfg Config) (*Server, error) {
-	route, err := newRouter(cfg.Router)
-	if err != nil {
-		return nil, err
-	}
 	adm, err := newAdmission(cfg.Classes)
 	if err != nil {
 		return nil, err
@@ -150,7 +144,6 @@ func New(cfg Config) (*Server, error) {
 			"auto":  auto,
 		},
 		bounds:   map[string]float64{},
-		policy:   cfg.Policy,
 		breakers: map[string]*resilience.Breaker{},
 		refining: map[string]bool{},
 		jobs:     newJobTable(64),
@@ -169,7 +162,7 @@ func New(cfg Config) (*Server, error) {
 	for _, name := range adm.names() {
 		s.reg.Histogram("serve/latency/" + name) //opmlint:allow counternames — class names are the closed admission-config set validated by newAdmission
 	}
-	s.pool = newWorkerPool(workers, route)
+	s.pool = newWorkerPool(workers)
 	return s, nil
 }
 
@@ -228,9 +221,9 @@ func (s *Server) begin() bool {
 func (s *Server) done() { s.inflight.Done() }
 
 // Drain gracefully shuts serving down: new requests are rejected with
-// 503, every accepted request (including queued admissions, batch
-// jobs, and background refinements) runs to completion, then the
-// worker pool exits. ctx bounds the wait. Idempotent.
+// 503 and every accepted request (including queued admissions, batch
+// jobs, and background refinements) runs to completion. ctx bounds the
+// wait. Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	first := !s.draining.Load()
@@ -250,14 +243,12 @@ func (s *Server) Drain(ctx context.Context) error {
 		// Giving up on the wait must not strand the work: cancel the
 		// base context so batch jobs and refinements running under it
 		// stop at their next context check instead of computing
-		// headless forever. The pool stays open — in-flight tasks may
-		// still be enqueuing, and closing under them would panic.
+		// headless forever.
 		s.cancelBase()
 		return fmt.Errorf("serve: drain interrupted with work in flight: %w", ctx.Err())
 	}
-	err := s.pool.close(ctx)
 	s.cancelBase()
-	return err
+	return nil
 }
 
 // Draining reports whether graceful shutdown has begun.
@@ -359,8 +350,8 @@ func (s *Server) answer(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		// No calibrated bound to honor — fall through to sync exact.
 	}
 
-	// Layers 3–5: admission, router, compute.
-	data, _, err := s.computeCell(ctx, c, est, canonical, digest, traceID, traceKey, req.Class)
+	// Layers 3–5: admission, worker pool, compute.
+	data, err := s.computeCell(ctx, c, est, digest, traceID, traceKey, req.Class)
 	if err != nil {
 		return nil, err
 	}
@@ -406,13 +397,13 @@ func (s *Server) admit(ctx context.Context, class, traceID, traceKey string) err
 	return nil
 }
 
-// computeCell runs the admitted cold path: route to a worker shard,
-// evaluate under the resilience policy, journal, and return the cell's
-// canonical bytes. It emits the same enqueue→dispatch→done chain shape
-// batch sweeps emit, so opmprof reads serve chains natively.
-func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, estName, digest, traceID, traceKey, class string) ([]byte, int, error) {
+// computeCell runs the admitted cold path: borrow a worker, evaluate
+// under the resilience policy, journal, and return the cell's canonical
+// bytes. It emits the same enqueue→dispatch→done chain shape batch
+// sweeps emit, so opmprof reads serve chains natively.
+func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, digest, traceID, traceKey, class string) ([]byte, error) {
 	if err := s.admit(ctx, class, traceID, traceKey); err != nil {
-		return nil, -1, err
+		return nil, err
 	}
 	s.tr.Emit(traceID, obs.EvEnqueue, traceKey, -1, 0, "serve")
 
@@ -420,12 +411,12 @@ func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, e
 		data []byte
 		err  error
 	)
-	shard, runErr := s.pool.run(ctx, digest, func(w *sweep.Worker) {
+	runErr := s.pool.run(ctx, func(w *sweep.Worker) {
 		busy := nowNS()
 		s.tr.Emit(traceID, obs.EvDispatch, traceKey, w.ID(), 0, "")
 		cctx := obs.WithTraceContext(ctx, s.tr, traceID, traceKey, w.ID())
 		var v any
-		v, err = s.evalWithPolicy(cctx, c, est, w, traceID, traceKey)
+		v, err = s.evalWithPolicy(cctx, c, est, w, digest)
 		if err != nil {
 			s.tr.Emit(traceID, obs.EvError, traceKey, w.ID(), 0, err.Error())
 			return
@@ -449,56 +440,31 @@ func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, e
 		s.tr.Emit(traceID, obs.EvDone, traceKey, w.ID(), time.Duration(nowNS()-busy), "")
 	})
 	if runErr != nil {
-		// Cancelled before the task was ever enqueued: the closure did
-		// not run and nothing was dispatched or journaled.
+		// Cancelled while waiting for a worker: the closure did not run
+		// and nothing was dispatched or journaled.
 		s.reg.Counter("serve/errors").Inc()
-		return nil, shard, runErr
+		return nil, runErr
 	}
-	s.tr.Emit(traceID, obs.EvRoute, traceKey, shard, 0, fmt.Sprintf("%s:%d", s.pool.route.name(), shard))
 	if err != nil {
 		s.reg.Counter("serve/errors").Inc()
-		return nil, shard, err
+		return nil, err
 	}
 	s.reg.Counter("serve/computed").Inc()
-	return data, shard, nil
+	return data, nil
 }
 
-// evalWithPolicy evaluates one cell under the resilience policy: the
-// per-family circuit breaker gates the attempt, transient failures
-// retry with the policy's deterministic backoff, and the verdict feeds
-// the breaker. A nil policy evaluates once, as the batch path does.
-func (s *Server) evalWithPolicy(ctx context.Context, c *cell, est core.Estimator, w *sweep.Worker, traceID, traceKey string) (any, error) {
-	br := s.breaker(twin.Family(c.kernelName))
-	if !br.Allow() {
-		s.tr.Emit(traceID, obs.EvBreakerOpen, traceKey, w.ID(), 0, "short-circuit")
-		s.reg.Counter("serve/breaker_rejects").Inc()
-		return nil, fmt.Errorf("serve: family %s: %w", twin.Family(c.kernelName), resilience.ErrBreakerOpen)
+// evalWithPolicy evaluates one cell through the sweep engine's job
+// runner (sweep.Run), exactly as a batch sweep runs each job: panic
+// containment, the "job" chaos point, per-attempt deadline, retry with
+// backoff, and the kernel family's circuit breaker. The cell digest is
+// the job key.
+func (s *Server) evalWithPolicy(ctx context.Context, c *cell, est core.Estimator, w *sweep.Worker, digest string) (any, error) {
+	family := twin.Family(c.kernelName)
+	v, err := sweep.Run(ctx, s.eng, s.breaker(family), w, digest, est, c.compute)
+	if errors.Is(err, resilience.ErrBreakerOpen) {
+		err = fmt.Errorf("serve: family %s: %w", family, err)
 	}
-	attempts := s.policy.Attempts()
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		v, err := c.compute(ctx, w, est)
-		if err == nil {
-			br.Success()
-			return v, nil
-		}
-		lastErr = err
-		if attempt < attempts && s.policy.Retryable(err) {
-			s.reg.Counter("serve/retries").Inc()
-			d := s.policy.Backoff(c.key, attempt)
-			s.tr.Emit(traceID, obs.EvRetry, traceKey, w.ID(), d, err.Error())
-			if serr := s.policy.SleepBackoff(ctx, d); serr != nil {
-				lastErr = serr
-				break
-			}
-			continue
-		}
-		break
-	}
-	if br.Failure() {
-		s.tr.Emit(traceID, obs.EvBreakerOpen, traceKey, w.ID(), 0, "tripped")
-	}
-	return nil, lastErr
+	return v, err
 }
 
 // breaker returns (creating if needed) the family's circuit breaker.
@@ -509,7 +475,7 @@ func (s *Server) breaker(family string) *resilience.Breaker {
 	defer s.breakerMu.Unlock()
 	br, ok := s.breakers[family]
 	if !ok {
-		br = s.policy.NewBreaker()
+		br = s.eng.Policy.NewBreaker()
 		s.breakers[family] = br
 	}
 	return br
@@ -586,7 +552,7 @@ func (s *Server) spawnRefinement(req QueryRequest, c *cell, exactDigest, traceID
 		// The request that triggered the refinement may be long gone;
 		// the refinement runs under the server's base context instead,
 		// so an interrupted Drain can still cancel it.
-		data, _, err := s.computeCell(s.base, c, s.estimators["exact"], "exact",
+		data, err := s.computeCell(s.base, c, s.estimators["exact"],
 			exactDigest, traceID, traceKey, "refine")
 		s.observeClass("refine", time.Duration(nowNS()-start))
 		if err != nil {
@@ -637,8 +603,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"cap":     s.hot.cap,
 		},
 		"workers": s.pool.size(),
-		"router":  s.pool.route.name(),
-		"loads":   s.pool.snapshot(),
+		"busy":    s.pool.busy(),
 		"jobs":    s.jobs.counts(),
 	}
 	if s.st != nil {

@@ -72,7 +72,7 @@ func maxSeq(tr *obs.Tracer) uint64 {
 }
 
 // TestServeColdThenHotThenStore proves acceptance (a) and the serve
-// half of (b): a cold query computes through admission + router +
+// half of (b): a cold query computes through admission + worker
 // pool, journals under the exact digest the batch sweeps derive, and
 // returns byte-for-byte the value the batch per-job body computes; a
 // repeat is a hot-set hit whose trace chain shows it never touched the
@@ -145,7 +145,7 @@ func TestServeColdThenHotThenStore(t *testing.T) {
 	// prologue — opmprof reads it natively.
 	coldNames := traceNames(tr, r1.Trace, 0)
 	for _, ev := range []string{obs.EvServeRecv, obs.EvAdmit, obs.EvEnqueue, obs.EvDispatch,
-		obs.EvStoreCommit, obs.EvDone, obs.EvRoute} {
+		obs.EvStoreCommit, obs.EvDone} {
 		if coldNames[ev] == 0 {
 			t.Fatalf("cold chain missing %s (chain: %v)", ev, coldNames)
 		}

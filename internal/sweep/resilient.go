@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 
 	"repro/internal/faultinject"
@@ -9,50 +10,50 @@ import (
 	"repro/internal/resilience"
 )
 
-// This file is the resilience half of the engine: the per-job loop that
-// applies an Engine.Policy (retry, backoff, per-attempt deadline,
-// circuit breaker) and fires the Engine.Inject "job" chaos point. With
-// both nil, Map bypasses it entirely — the production fast path.
+// This file is the engine's per-job runner: panic containment, the
+// Engine.Inject "job" chaos point, and the Engine.Policy loop (retry,
+// backoff, per-attempt deadline, circuit breaker). Map runs every job
+// through Run; the serve daemon runs each cold cell through it on a
+// borrowed worker, so batch sweeps and the daemon share one loop.
 
-// resInstruments are the resilience counters one Map resolves up front
-// (nil registry → nil counters → no-op increments).
-type resInstruments struct {
-	retries   *obs.Counter // resilience/retries: attempts beyond the first
-	exhausted *obs.Counter // resilience/retry_exhausted: retryable jobs dropped after the last attempt
-	quarant   *obs.Counter // resilience/quarantined: results rejected by the validation gate
-	deadline  *obs.Counter // resilience/job_deadline_exceeded: attempts that outlived JobTimeout
-	trips     *obs.Counter // resilience/breaker_trips: breakers opened
-	shorted   *obs.Counter // resilience/breaker_short_circuits: jobs failed fast by an open breaker
-}
-
-func resolveResInstruments(reg *obs.Registry) resInstruments {
-	return resInstruments{
-		retries:   reg.Counter("resilience/retries"),
-		exhausted: reg.Counter("resilience/retry_exhausted"),
-		quarant:   reg.Counter("resilience/quarantined"),
-		deadline:  reg.Counter("resilience/job_deadline_exceeded"),
-		trips:     reg.Counter("resilience/breaker_trips"),
-		shorted:   reg.Counter("resilience/breaker_short_circuits"),
+// Run executes one job the way Map executes each of its jobs, on the
+// caller's goroutine and worker w. With no policy, no injector and no
+// breaker it is a single attempt with panic containment — the
+// production fast path. Otherwise br gates the job and records its
+// verdict, and up to Policy.Attempts() tries run, each with its own
+// attempt-stamped (and, with JobTimeout, deadline-bounded) context,
+// separated by deterministic backoff sleeps that abort — without
+// re-submitting — the moment ctx is cancelled. key identifies the job
+// to the injector's fire decision and the backoff jitter.
+//
+// A job cut short by ctx is not a failure: Run returns the context
+// error and leaves br's count alone, handing a half-open probe back
+// (Breaker.Release) so the next job can probe instead.
+//
+// With e.Obs set, Run records sweep/job_panics and the resilience/*
+// counters (retries, retry_exhausted, quarantined,
+// job_deadline_exceeded, breaker_trips, breaker_short_circuits); the
+// resilient path emits job/attempt, job/retry_backoff and
+// job/breaker_open on the trace context.
+func Run[J, R any](ctx context.Context, e *Engine, br *resilience.Breaker, w *Worker, key string, job J,
+	fn func(context.Context, *Worker, J) (R, error)) (R, error) {
+	var (
+		pol *resilience.Policy
+		inj *faultinject.Injector
+		reg *obs.Registry
+	)
+	if e != nil {
+		pol, inj, reg = e.Policy, e.Inject, e.Obs
 	}
-}
-
-// runJobResilient runs one job under the engine's policy: the breaker
-// gate, then up to Attempts() tries, each with its own attempt-stamped
-// (and, with JobTimeout, deadline-bounded) context, separated by
-// deterministic backoff sleeps that abort — without re-submitting — the
-// moment the sweep context is cancelled.
-func runJobResilient[J, R any](ctx context.Context, pol *resilience.Policy, inj *faultinject.Injector,
-	br *resilience.Breaker, w *Worker, index int, job J,
-	fn func(context.Context, *Worker, J) (R, error), mPanics *obs.Counter, ri resInstruments) (R, error) {
+	if pol == nil && inj == nil && br == nil {
+		return runJob(ctx, reg, w, job, fn, nil, "")
+	}
 	var zero R
 	if !br.Allow() {
-		ri.shorted.Inc()
+		reg.Counter("resilience/breaker_short_circuits").Inc()
 		obs.TraceEvent(ctx, obs.EvBreakerOpen, "short_circuit")
 		return zero, resilience.ErrBreakerOpen
 	}
-	// The job key feeds the injector's fire decision and the backoff
-	// jitter; the submission index is the one identity every job has.
-	key := strconv.Itoa(index)
 	attempts := pol.Attempts()
 	timeout := pol.Timeout()
 	var lastErr error
@@ -63,13 +64,13 @@ func runJobResilient[J, R any](ctx context.Context, pol *resilience.Policy, inj 
 		if timeout > 0 {
 			actx, cancel = context.WithTimeout(actx, timeout)
 		}
-		r, err := runJob(actx, w, job, fn, mPanics, inj, key)
+		r, err := runJob(actx, reg, w, job, fn, inj, key)
 		// Attribute attempt-deadline expiry (parent still alive) to the
 		// policy: the failure is retryable, and a success that arrived
 		// only after its deadline is no success at all.
 		if timeout > 0 && actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
 			err = &resilience.TimeoutError{Attempt: attempt, Limit: timeout}
-			ri.deadline.Inc()
+			reg.Counter("resilience/job_deadline_exceeded").Inc()
 		}
 		cancel()
 		if err == nil {
@@ -78,19 +79,18 @@ func runJobResilient[J, R any](ctx context.Context, pol *resilience.Policy, inj 
 		}
 		lastErr = err
 		if resilience.IsQuarantine(err) {
-			ri.quarant.Inc()
+			reg.Counter("resilience/quarantined").Inc()
 		}
 		if ctx.Err() != nil {
-			// Whole-sweep cancellation is not a job failure: surface the
-			// context error and leave the breaker alone.
+			br.Release()
 			return zero, err
 		}
-		if !pol.Retryable(err) {
+		if !resilience.Retryable(err) {
 			break
 		}
 		if attempt+1 >= attempts {
 			if attempts > 1 {
-				ri.exhausted.Inc()
+				reg.Counter("resilience/retry_exhausted").Inc()
 			}
 			break
 		}
@@ -98,13 +98,39 @@ func runJobResilient[J, R any](ctx context.Context, pol *resilience.Policy, inj 
 		obs.TraceEventDur(ctx, obs.EvRetry, backoff, err.Error())
 		if serr := pol.SleepBackoff(ctx, backoff); serr != nil {
 			// Cancelled mid-backoff: the retry is never re-submitted.
+			br.Release()
 			return zero, serr
 		}
-		ri.retries.Inc()
+		reg.Counter("resilience/retries").Inc()
 	}
 	if br.Failure() {
-		ri.trips.Inc()
+		reg.Counter("resilience/breaker_trips").Inc()
 		obs.TraceEvent(ctx, obs.EvBreakerOpen, "tripped")
 	}
 	return zero, lastErr
+}
+
+// runJob invokes fn with panic containment: a panicking cell (e.g. a
+// buffer bounds violation in a trace generator) becomes that job's
+// error instead of killing the whole sweep, counted on
+// sweep/job_panics. With a non-nil injector the "job" chaos point
+// fires first, inside the recover scope so injected panics are
+// contained like real ones — but classified transient (an
+// InjectedPanic heals on retry, a real panic is a deterministic bug
+// that would only panic again).
+func runJob[J, R any](ctx context.Context, reg *obs.Registry, w *Worker, job J, fn func(context.Context, *Worker, J) (R, error), inj *faultinject.Injector, key string) (r R, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			reg.Counter("sweep/job_panics").Inc()
+			if ip, ok := p.(faultinject.InjectedPanic); ok {
+				err = resilience.MarkTransient(fmt.Errorf("sweep: job panicked: %s", ip))
+				return
+			}
+			err = fmt.Errorf("sweep: job panicked: %v", p)
+		}
+	}()
+	if ferr := inj.Job(ctx, key); ferr != nil {
+		return r, ferr
+	}
+	return fn(ctx, w, job)
 }

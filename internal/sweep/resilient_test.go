@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -400,6 +401,72 @@ func TestResilientMapMatchesPlainMap(t *testing.T) {
 		if plain[i] != res[i] {
 			t.Fatalf("results diverge at %d: %d vs %d", i, plain[i], res[i])
 		}
+	}
+}
+
+// TestRunSharesCallerBreaker drives Run the way the serve daemon does:
+// one long-lived breaker across independent calls. Consecutive
+// permanent failures trip it, and the next call fails fast without
+// running fn — even with no policy on the engine.
+func TestRunSharesCallerBreaker(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := &Engine{Obs: reg}
+	br := (&resilience.Policy{BreakerThreshold: 2}).NewBreaker()
+	var calls atomic.Int64
+	fn := func(context.Context, *Worker, int) (int, error) {
+		calls.Add(1)
+		return 0, errors.New("model diverged")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := Run(context.Background(), e, br, NewWorker(0), strconv.Itoa(i), i, fn); err == nil {
+			t.Fatalf("call %d: want the job's error", i)
+		}
+	}
+	if _, err := Run(context.Background(), e, br, NewWorker(0), "2", 2, fn); !errors.Is(err, resilience.ErrBreakerOpen) {
+		t.Fatalf("call after trip = %v, want ErrBreakerOpen", err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("fn ran %d times, want 2 (the short-circuited call must not run)", got)
+	}
+	if got := reg.Counter("resilience/breaker_trips").Value(); got != 1 {
+		t.Fatalf("resilience/breaker_trips = %d, want 1", got)
+	}
+	if got := reg.Counter("resilience/breaker_short_circuits").Value(); got != 1 {
+		t.Fatalf("resilience/breaker_short_circuits = %d, want 1", got)
+	}
+}
+
+// TestRunCancelledProbeReleasesBreaker checks a half-open probe whose
+// caller is cancelled mid-job neither counts against the breaker nor
+// wedges it: the next call probes, and its success closes the breaker.
+func TestRunCancelledProbeReleasesBreaker(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := &Engine{Obs: reg, Policy: &resilience.Policy{BreakerThreshold: 1, BreakerCooldown: time.Nanosecond}}
+	br := e.Policy.NewBreaker()
+	w := NewWorker(0)
+	fail := func(context.Context, *Worker, int) (int, error) { return 0, errors.New("model diverged") }
+	if _, err := Run(context.Background(), e, br, w, "trip", 0, fail); err == nil {
+		t.Fatal("want the job's error")
+	}
+	time.Sleep(time.Millisecond) // past the cooldown: the next call is the probe
+
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := Run(ctx, e, br, w, "probe", 0, func(ctx context.Context, _ *Worker, _ int) (int, error) {
+		cancel()
+		return 0, ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe = %v, want context.Canceled", err)
+	}
+	v, err := Run(context.Background(), e, br, w, "next", 0, func(context.Context, *Worker, int) (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("call after a cancelled probe = %d, %v; want 7, nil", v, err)
+	}
+	if br.Tripped() {
+		t.Fatal("successful probe left the breaker tripped")
+	}
+	if got := reg.Counter("resilience/breaker_trips").Value(); got != 1 {
+		t.Fatalf("resilience/breaker_trips = %d, want 1 (cancellation is not a failure)", got)
 	}
 }
 

@@ -50,9 +50,10 @@ type Engine struct {
 	// at the cost of one branch per job.
 	Policy *resilience.Policy
 	// Inject, when non-nil, is the chaos hook: the engine fires the
-	// injector's "job" point (keyed by submission index) before every
-	// attempt. Nil — the production setting — costs one branch per
-	// job; the chaos suite's nil-injector benchmark holds it there.
+	// injector's "job" point (keyed by submission index in Map, by the
+	// caller's key in Run) before every attempt. Nil — the production
+	// setting — costs one branch per job; the chaos suite's
+	// nil-injector benchmark holds it there.
 	Inject *faultinject.Injector
 	// Trace, when non-nil, receives the causal per-job event chain:
 	// enqueue/dispatch/done on every job, plus attempt/retry/breaker
@@ -169,9 +170,9 @@ func (w *Worker) ID() int { return w.id }
 // NewWorker returns a standalone worker with its own empty resource
 // pool. Map builds its workers internally; this constructor exists for
 // long-lived callers — the serve daemon's persistent worker pool —
-// that dispatch jobs onto workers outside Map and want the same pooled
-// simulator reuse across requests. id is the worker's identity in
-// traces and routing.
+// that run jobs on workers outside Map (see Run) and want the same
+// pooled simulator reuse across requests. id is the worker's identity
+// in traces.
 func NewWorker(id int) *Worker { return &Worker{id: id, pool: map[any]any{}} }
 
 // Get returns the pooled resource under key, building and caching it on
@@ -204,18 +205,19 @@ func (w *Worker) Drop(key any) {
 }
 
 // Map runs fn over every job on the engine's worker pool and returns
-// the results in submission order. A failed (or panicking) job
-// contributes its zero-value result and a JobError; the sweep
-// continues. When ctx is cancelled or times out, workers stop promptly
-// and every unstarted job records the context error. The returned
-// error is nil when every job succeeded, otherwise the accumulated
-// Errors (sorted by job index).
+// the results in submission order. Each job goes through Run with the
+// sweep's breaker and its submission index as key. A failed (or
+// panicking) job contributes its zero-value result and a JobError; the
+// sweep continues. When ctx is cancelled or times out, workers stop
+// promptly and every unstarted job records the context error. The
+// returned error is nil when every job succeeded, otherwise the
+// accumulated Errors (sorted by job index).
 //
 // With e.Obs set, Map records:
 //
 //	sweep/jobs                jobs executed, successful or not (counter)
 //	sweep/job_errors          failed or skipped jobs (counter)
-//	sweep/job_panics          jobs that panicked (counter)
+//	sweep/job_panics          jobs that panicked (counter, via Run)
 //	sweep/job_latency         per-job run time (histogram)
 //	sweep/queue_wait          submission-to-start delay (histogram)
 //	sweep/worker_utilization  busy time / (workers × wall) (gauge)
@@ -243,13 +245,12 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 	// registry they are nil and every use below no-ops.
 	obsOn := e.Obs != nil
 	var (
-		mJobs   = e.Obs.Counter("sweep/jobs")
-		mErrs   = e.Obs.Counter("sweep/job_errors")
-		mPanics = e.Obs.Counter("sweep/job_panics")
-		mLat    = e.Obs.Histogram("sweep/job_latency")
-		mWait   = e.Obs.Histogram("sweep/queue_wait")
-		mUtil   = e.Obs.Gauge("sweep/worker_utilization")
-		mETA    = e.Obs.Gauge("sweep/eta_seconds")
+		mJobs = e.Obs.Counter("sweep/jobs")
+		mErrs = e.Obs.Counter("sweep/job_errors")
+		mLat  = e.Obs.Histogram("sweep/job_latency")
+		mWait = e.Obs.Histogram("sweep/queue_wait")
+		mUtil = e.Obs.Gauge("sweep/worker_utilization")
+		mETA  = e.Obs.Gauge("sweep/eta_seconds")
 	)
 	total := len(jobs)
 	// Trace identity resolves once per sweep: either the caller
@@ -278,18 +279,11 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 			}
 		}
 	}
-	// Resilience state: one breaker per Map call (= per sweep family),
-	// instruments resolved once. resilient stays false on the
-	// production fast path (nil policy, nil injector).
-	resilient := e.Policy != nil || e.Inject != nil
-	var (
-		breaker *resilience.Breaker
-		resIns  resInstruments
-	)
-	if resilient {
-		breaker = e.Policy.NewBreaker()
-		resIns = resolveResInstruments(e.Obs)
-	}
+	// One breaker per Map call (= per sweep family); nil without a
+	// policy. The submission index keys each job for the injector and
+	// the backoff jitter, which only a policy or an injector reads.
+	breaker := e.Policy.NewBreaker()
+	keyed := e.Policy != nil || e.Inject != nil
 	// etaRate is the EWMA-smoothed overall ns-per-job estimate,
 	// guarded by mu (report is serialized).
 	var etaRate float64
@@ -297,9 +291,11 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 		if e.Progress == nil && !obsOn {
 			return
 		}
+		// Read the count under the lock: the last report to take it
+		// then sees every completion, so the final Progress is Total.
+		mu.Lock()
 		d := int(done.Load())
 		elapsed := time.Since(start)
-		mu.Lock()
 		var eta time.Duration
 		if d >= minETAJobs && d < total {
 			rate := float64(elapsed) / float64(d)
@@ -355,13 +351,11 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 					tr.Emit(traceIDs[i], obs.EvDispatch, traceKeys[i], wi, 0, "")
 					jctx = obs.WithTraceContext(ctx, tr, traceIDs[i], traceKeys[i], wi)
 				}
-				var r R
-				var err error
-				if resilient {
-					r, err = runJobResilient(jctx, e.Policy, e.Inject, breaker, w, i, jobs[i], fn, mPanics, resIns)
-				} else {
-					r, err = runJob(jctx, w, jobs[i], fn, mPanics, nil, "")
+				key := ""
+				if keyed {
+					key = strconv.Itoa(i)
 				}
+				r, err := Run(jctx, e, breaker, w, key, jobs[i], fn)
 				if err != nil {
 					fail(i, err)
 				} else {
@@ -397,30 +391,6 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 	}
 	sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
 	return results, errs
-}
-
-// runJob invokes fn with panic containment: a panicking cell (e.g. a
-// buffer bounds violation in a trace generator) becomes that job's
-// error instead of killing the whole sweep, counted on panics. With a
-// non-nil injector the "job" chaos point fires first, inside the
-// recover scope so injected panics are contained like real ones — but
-// classified transient (an InjectedPanic heals on retry, a real panic
-// is a deterministic bug that would only panic again).
-func runJob[J, R any](ctx context.Context, w *Worker, job J, fn func(context.Context, *Worker, J) (R, error), panics *obs.Counter, inj *faultinject.Injector, key string) (r R, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			panics.Inc()
-			if ip, ok := p.(faultinject.InjectedPanic); ok {
-				err = resilience.MarkTransient(fmt.Errorf("sweep: job panicked: %s", ip))
-				return
-			}
-			err = fmt.Errorf("sweep: job panicked: %v", p)
-		}
-	}()
-	if ferr := inj.Job(ctx, key); ferr != nil {
-		return r, ferr
-	}
-	return fn(ctx, w, job)
 }
 
 // Compact splits a Map outcome into the surviving results and the
