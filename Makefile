@@ -1,6 +1,6 @@
 # Convenience targets; see scripts/check.sh for the full gate.
 
-.PHONY: build test lint lint-diff check calib calib-baseline chaos shard-chaos bench bench-obs bench-store bench-resilience bench-twin bench-json bench-baseline bench-trace bench-serve bench-shard profile serve
+.PHONY: build test lint check calib calib-baseline chaos shard-chaos bench bench-obs bench-store bench-resilience bench-twin bench-json bench-baseline bench-trace bench-serve bench-shard profile serve
 
 build:
 	go build ./...
@@ -12,10 +12,6 @@ test:
 # rules as a hard gate. Suppress with //opmlint:allow <check> — <reason>.
 lint:
 	go run ./cmd/opmlint ./...
-
-# Compare current findings against scripts/lint-baseline.json.
-lint-diff:
-	scripts/lint-diff.sh
 
 # Full pre-merge gate: vet + opmlint + (optional) staticcheck +
 # race-enabled tests.

@@ -6,13 +6,12 @@
 //
 // Usage:
 //
-//	opmlint [-json|-sarif] [-checks determinism,ctxflow,...] [packages...]
+//	opmlint [-sarif] [-checks determinism,ctxflow,...] [packages...]
 //
 // Packages are directories relative to the working directory; a
-// trailing /... walks the subtree (default ./...). -json emits the
-// deterministic array scripts/lint-diff.sh ratchets on; -sarif emits
-// SARIF 2.1.0 for GitHub code scanning. Exit status: 0 clean, 1
-// findings, 2 the tree could not be loaded or type-checked.
+// trailing /... walks the subtree (default ./...). -sarif emits SARIF
+// 2.1.0 for GitHub code scanning. Exit status: 0 clean, 1 findings, 2
+// the tree could not be loaded or type-checked.
 //
 // Suppress a finding with an auditable annotation on or above the
 // offending line (or in the enclosing declaration's doc comment):
@@ -36,12 +35,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("opmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (for scripts/lint-diff.sh)")
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 (for GitHub code scanning)")
 	checksFlag := fs.String("checks", "", "comma-separated checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: opmlint [-json|-sarif] [-checks c1,c2] [-list] [packages...]\n")
+		fmt.Fprintf(stderr, "usage: opmlint [-sarif] [-checks c1,c2] [-list] [packages...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -58,10 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "opmlint: -json and -sarif are mutually exclusive")
-		return 2
-	}
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -74,13 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *sarifOut {
 		out, err := lint.FormatSARIF(findings, checks)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprint(stdout, out)
-	} else if *jsonOut {
-		out, err := lint.FormatJSON(findings)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -32,34 +31,6 @@ func TestBrokenFixtureFailsGate(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "finding(s)") {
 		t.Errorf("stderr should summarize the count, got: %s", stderr.String())
-	}
-}
-
-// TestJSONOutput: -json emits a parseable array with the fields
-// scripts/lint-diff.sh keys on.
-func TestJSONOutput(t *testing.T) {
-	root, _, err := lint.FindModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Chdir(root)
-
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "internal/lint/testdata/errdiscard/store"}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("want exit 1, got %d (stderr: %s)", code, stderr.String())
-	}
-	var findings []lint.Finding
-	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, stdout.String())
-	}
-	if len(findings) == 0 {
-		t.Fatal("want findings in JSON output, got none")
-	}
-	for _, f := range findings {
-		if f.File == "" || f.Line == 0 || f.Check == "" || f.Msg == "" {
-			t.Errorf("finding missing fields: %+v", f)
-		}
 	}
 }
 

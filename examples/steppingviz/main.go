@@ -15,8 +15,7 @@ import (
 )
 
 // curve evaluates one stepping model, exiting with the error on bad
-// flag combinations instead of panicking (stepping.MustModel is
-// deprecated).
+// flag combinations.
 func curve(name string, levels []stepping.Level, k stepping.Kernel, minFP, maxFP int64, points int) stepping.Curve {
 	c, err := stepping.Model(name, levels, k, minFP, maxFP, points)
 	if err != nil {

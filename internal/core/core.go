@@ -74,18 +74,6 @@ func NewMachine(p *platform.Platform, mode memsim.Mode) (*Machine, error) {
 	return &Machine{Plat: p, Mode: mode, cfg: cfg, tuning: DefaultTuning()}, nil
 }
 
-// MustMachine is NewMachine that panics on error.
-//
-// Deprecated: retained for examples and tests. Library and harness
-// code should call NewMachine and surface the error.
-func MustMachine(p *platform.Platform, mode memsim.Mode) *Machine {
-	m, err := NewMachine(p, mode)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Config returns the machine's simulator configuration.
 func (m *Machine) Config() memsim.Config { return m.cfg }
 
@@ -184,18 +172,6 @@ func (m *Machine) PooledSim(w *sweep.Worker) (*memsim.Sim, error) {
 	return v.(*memsim.Sim), nil
 }
 
-// MustRun is Run that panics on error.
-//
-// Deprecated: retained for examples and tests. Library and harness
-// code should call Run (or RunOn) and surface the error.
-func (m *Machine) MustRun(w trace.Workload) memsim.Result {
-	r, err := m.Run(w)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // RunDense evaluates the analytic dense model (GEMM or Cholesky heat
 // maps) for order n and tile size nb at paper scale.
 func (m *Machine) RunDense(kind trace.DenseKind, n, nb int) (memsim.Result, error) {
@@ -211,18 +187,6 @@ func (m *Machine) RunDense(kind trace.DenseKind, n, nb int) (memsim.Result, erro
 	}
 	props.Eff *= model.TileEff() * model.SizeEff(m.Plat.Cores)
 	return memsim.Evaluate(&cfg, tr, props)
-}
-
-// MustRunDense is RunDense that panics on error.
-//
-// Deprecated: retained for examples and tests. Library and harness
-// code should call RunDense and surface the error.
-func (m *Machine) MustRunDense(kind trace.DenseKind, n, nb int) memsim.Result {
-	r, err := m.RunDense(kind, n, nb)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Machines builds one Machine per supported mode of a platform, in

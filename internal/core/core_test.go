@@ -467,3 +467,30 @@ func TestRunDenseBatchMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// MustMachine is NewMachine that panics on error, for tests.
+func MustMachine(p *platform.Platform, mode memsim.Mode) *Machine {
+	m, err := NewMachine(p, mode)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// MustRun is Run that panics on error, for tests.
+func (m *Machine) MustRun(w trace.Workload) memsim.Result {
+	r, err := m.Run(w)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// MustRunDense is RunDense that panics on error, for tests.
+func (m *Machine) MustRunDense(kind trace.DenseKind, n, nb int) memsim.Result {
+	r, err := m.RunDense(kind, n, nb)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}

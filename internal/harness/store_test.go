@@ -8,11 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sparse"
 	"repro/internal/store"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 // reportBytes flattens the parts of a report that the warm==cold
@@ -34,6 +36,31 @@ func mustOpen(t *testing.T, dir string, reg *obs.Registry) *store.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestCellDigestGolden pins the store digests of one curve cell and
+// one dense cell to the bytes existing stores were written under. A
+// digest that moves orphans every journaled cell, so model-side or
+// simulator work must leave these values unchanged; only a deliberate
+// core.ModelVersion bump may rewrite them.
+func TestCellDigestGolden(t *testing.T) {
+	spec, err := NewCurveSpec("broadwell")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := core.DenseJob{Machine: spec.Machines[0], Kind: trace.DenseGEMM, N: 1024, NB: 128}
+	for _, tc := range []struct {
+		name, got, want string
+	}{
+		{"curve", CellDigest(core.Exact, CurveSweepID("Stream"), spec.ConfigHash(), CurveCellKey(1<<20)),
+			"3d1cbd7f6f40dd4220b813746bc45b928b7430faf127a69db958bb86ee279b5a"},
+		{"dense", CellDigest(core.Exact, DenseSweepID, "", DenseKey(dense)),
+			"95a0895d06bca0bd78d70494d502637973b4d3e6cb620a3b770a078c1d62b045"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s cell digest = %s, want %s", tc.name, tc.got, tc.want)
+		}
+	}
 }
 
 // TestWarmRunByteIdentical is the tentpole contract: a fully-warm run

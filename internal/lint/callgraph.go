@@ -1,14 +1,12 @@
 package lint
 
 // callgraph.go builds opmlint's interprocedural view of the module: an
-// index of every function declaration, a static call graph (direct
-// calls, method calls, function references, and interface methods
-// expanded to their module implementations), a blocking-operation
-// classification solved to a fixpoint over that graph, the reachability
-// closure from the digest roots, and the index of atomically-accessed
-// fields. Everything here is check-independent and built at most once
-// per World (see (*World).interproc), so the ten checks share one
-// analysis instead of re-walking the tree ten times.
+// index of every function declaration, a static call graph over direct
+// function and method calls, and a blocking-operation classification
+// solved to a fixpoint over that graph. Everything here is
+// check-independent and built at most once per World (see
+// (*World).interproc), so ctxflow, goroleak and lockscope share one
+// analysis instead of re-walking the tree per check.
 
 import (
 	"fmt"
@@ -16,7 +14,6 @@ import (
 	"go/token"
 	"go/types"
 	"path"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -31,8 +28,6 @@ func (w *World) interproc() *ipa {
 
 // ipa is the interprocedural analysis state for one World.
 type ipa struct {
-	w *World
-
 	// funcs indexes every module function or method that has a body.
 	funcs map[*types.Func]*ipaFunc
 	// order lists the same functions deterministically: by package
@@ -45,19 +40,6 @@ type ipa struct {
 	// mutex). Both map a function to its earliest evidence.
 	blockCtx  map[*types.Func]blockCause
 	blockLock map[*types.Func]blockCause
-
-	// digestRoot maps every function reachable from a digest root to
-	// that root; digestFrom records the discovery edge for rendering
-	// the call path in findings.
-	digestRoot map[*types.Func]*types.Func
-	digestFrom map[*types.Func]*types.Func
-
-	// atomicObjs maps module fields/vars whose address is passed to a
-	// sync/atomic function to the (sorted) positions of those calls;
-	// atomicSpans are the source spans of the calls themselves, so the
-	// atomic accesses are not flagged as plain ones.
-	atomicObjs  map[types.Object][]token.Pos
-	atomicSpans []posSpan
 }
 
 // ipaFunc is one module function declaration plus its analysis facts.
@@ -79,10 +61,6 @@ type ipaFunc struct {
 type ipaEdge struct {
 	callee *types.Func
 	pos    token.Pos
-	// call: a call position; false means a function reference (the
-	// callee escapes as a value). Blocking only propagates over calls;
-	// digest reachability follows both.
-	call bool
 	// spawned: the edge sits inside a go statement (directly, or in a
 	// go-spawned function literal) — the callee runs on another
 	// goroutine and does not block this function.
@@ -114,28 +92,11 @@ type blockCause struct {
 	via *types.Func
 }
 
-type posSpan struct{ start, end token.Pos }
-
 // ---------------------------------------------------------------------
 // builder
 
-type ipaBuilder struct {
-	a        *ipa
-	named    []types.Type
-	implMemo map[*types.Func][]*types.Func
-}
-
 func buildIPA(w *World) *ipa {
-	a := &ipa{
-		w:          w,
-		funcs:      map[*types.Func]*ipaFunc{},
-		blockCtx:   map[*types.Func]blockCause{},
-		blockLock:  map[*types.Func]blockCause{},
-		digestRoot: map[*types.Func]*types.Func{},
-		digestFrom: map[*types.Func]*types.Func{},
-		atomicObjs: map[types.Object][]token.Pos{},
-	}
-	b := &ipaBuilder{a: a, implMemo: map[*types.Func][]*types.Func{}}
+	a := &ipa{funcs: map[*types.Func]*ipaFunc{}}
 	for _, ppath := range sortedPkgPaths(w) {
 		p := w.Pkgs[ppath]
 		if p.Info == nil {
@@ -158,16 +119,11 @@ func buildIPA(w *World) *ipa {
 		}
 	}
 	for _, f := range a.order {
-		b.scan(f, f.decl.Body, false, false)
-		b.identitySeeds(f)
+		a.scan(f, f.decl.Body, false, false)
+		a.identitySeeds(f)
 	}
-	a.blockCtx = b.solveBlocking(seedCtx)
-	a.blockLock = b.solveBlocking(seedLock)
-	b.solveDigest()
-	b.scanAtomics()
-	for _, positions := range a.atomicObjs {
-		sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
-	}
+	a.blockCtx = a.solveBlocking(seedCtx)
+	a.blockLock = a.solveBlocking(seedLock)
 	return a
 }
 
@@ -180,12 +136,12 @@ func sortedPkgPaths(w *World) []string {
 	return paths
 }
 
-// scan walks one function body recording call/reference edges and
+// scan walks one function body recording call edges and
 // directly-blocking seed operations. spawned marks go-spawned code
 // (runs on another goroutine, so its operations do not block this
 // function); noChan suppresses the seed for a channel operand that is
 // a select communication clause (the select itself is the seed).
-func (b *ipaBuilder) scan(f *ipaFunc, n ast.Node, spawned, noChan bool) {
+func (a *ipa) scan(f *ipaFunc, n ast.Node, spawned, noChan bool) {
 	if n == nil {
 		return
 	}
@@ -194,67 +150,62 @@ func (b *ipaBuilder) scan(f *ipaFunc, n ast.Node, spawned, noChan bool) {
 		f.hasGo = true
 		if lit, ok := unparen(n.Call.Fun).(*ast.FuncLit); ok {
 			for _, arg := range n.Call.Args {
-				b.scan(f, arg, spawned, false)
+				a.scan(f, arg, spawned, false)
 			}
-			b.scan(f, lit.Body, true, false)
+			a.scan(f, lit.Body, true, false)
 			return
 		}
-		b.scanCall(f, n.Call, spawned, true)
+		a.scanCall(f, n.Call, spawned, true)
 	case *ast.DeferStmt:
-		b.scanCall(f, n.Call, spawned, false)
+		a.scanCall(f, n.Call, spawned, false)
 	case *ast.CallExpr:
-		b.scanCall(f, n, spawned, false)
+		a.scanCall(f, n, spawned, false)
 	case *ast.FuncLit:
-		b.scan(f, n.Body, spawned, false)
+		a.scan(f, n.Body, spawned, false)
 	case *ast.SendStmt:
 		if !noChan && !spawned {
 			f.seeds = append(f.seeds, seedOp{pos: n.Arrow, why: "sends on a channel", kind: seedCtx | seedLock | seedChan})
 		}
-		b.scan(f, n.Chan, spawned, false)
-		b.scan(f, n.Value, spawned, false)
+		a.scan(f, n.Chan, spawned, false)
+		a.scan(f, n.Value, spawned, false)
 	case *ast.UnaryExpr:
 		if n.Op == token.ARROW && !noChan && !spawned {
 			f.seeds = append(f.seeds, seedOp{pos: n.OpPos, why: "receives from a channel", kind: seedCtx | seedLock | seedChan})
 		}
-		b.scan(f, n.X, spawned, false)
+		a.scan(f, n.X, spawned, false)
 	case *ast.SelectStmt:
 		if !spawned && !selectGuarded(f.pkg.Info, n) {
 			f.seeds = append(f.seeds, seedOp{pos: n.Select, why: "waits in a select with no default or <-ctx.Done() case", kind: seedCtx | seedLock | seedChan})
 		}
 		for _, cl := range n.Body.List {
 			cc := cl.(*ast.CommClause)
-			b.scan(f, cc.Comm, spawned, true)
+			a.scan(f, cc.Comm, spawned, true)
 			for _, s := range cc.Body {
-				b.scan(f, s, spawned, false)
+				a.scan(f, s, spawned, false)
 			}
 		}
 	case *ast.ExprStmt:
-		b.scan(f, n.X, spawned, noChan)
+		a.scan(f, n.X, spawned, noChan)
 	case *ast.AssignStmt:
 		for _, r := range n.Rhs {
-			b.scan(f, r, spawned, noChan)
+			a.scan(f, r, spawned, noChan)
 		}
 		for _, l := range n.Lhs {
-			b.scan(f, l, spawned, false)
+			a.scan(f, l, spawned, false)
 		}
-	case *ast.SelectorExpr:
-		b.refEdge(f, n.Sel, spawned)
-		b.scan(f, n.X, spawned, false)
-	case *ast.Ident:
-		b.refEdge(f, n, spawned)
 	default:
 		for _, c := range directChildren(n) {
-			b.scan(f, c, spawned, noChan)
+			a.scan(f, c, spawned, noChan)
 		}
 	}
 }
 
 // scanCall records the edge for one call expression and scans its
 // operands. goStmt marks `go f(...)` direct spawns.
-func (b *ipaBuilder) scanCall(f *ipaFunc, call *ast.CallExpr, spawned, goStmt bool) {
+func (a *ipa) scanCall(f *ipaFunc, call *ast.CallExpr, spawned, goStmt bool) {
 	callee := staticCallee(f.pkg.Info, call)
 	if callee != nil {
-		f.edges = append(f.edges, ipaEdge{callee: callee, pos: call.Pos(), call: true, spawned: spawned || goStmt})
+		f.edges = append(f.edges, ipaEdge{callee: callee, pos: call.Pos(), spawned: spawned || goStmt})
 		if !spawned && !goStmt {
 			if why, kind := extBlocking(callee); why != "" {
 				f.seeds = append(f.seeds, seedOp{
@@ -265,26 +216,19 @@ func (b *ipaBuilder) scanCall(f *ipaFunc, call *ast.CallExpr, spawned, goStmt bo
 			}
 		}
 		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-			b.scan(f, sel.X, spawned, false)
+			a.scan(f, sel.X, spawned, false)
 		}
 	} else {
-		b.scan(f, call.Fun, spawned || goStmt, false)
+		a.scan(f, call.Fun, spawned || goStmt, false)
 	}
 	for _, arg := range call.Args {
-		b.scan(f, arg, spawned, false)
-	}
-}
-
-// refEdge records a function reference when id resolves to a function.
-func (b *ipaBuilder) refEdge(f *ipaFunc, id *ast.Ident, spawned bool) {
-	if fn, ok := f.pkg.Info.Uses[id].(*types.Func); ok {
-		f.edges = append(f.edges, ipaEdge{callee: fn, pos: id.Pos(), call: false, spawned: spawned})
+		a.scan(f, arg, spawned, false)
 	}
 }
 
 // identitySeeds marks module functions that block by contract rather
 // than by anything visible in their bodies.
-func (b *ipaBuilder) identitySeeds(f *ipaFunc) {
+func (a *ipa) identitySeeds(f *ipaFunc) {
 	// The store journal append is a synchronous disk write: a context
 	// should bound reaching it, and no mutex should be held across it.
 	if f.fn.Name() == "Put" && recvTypeName(f.fn) == "Store" &&
@@ -388,12 +332,12 @@ func selectGuarded(info *types.Info, sel *ast.SelectStmt) bool {
 // solveBlocking computes the blocking set for one flavor to a fixpoint
 // over call edges, then assigns each member its earliest evidence so
 // messages are deterministic regardless of solve order.
-func (b *ipaBuilder) solveBlocking(flavor seedKind) map[*types.Func]blockCause {
+func (a *ipa) solveBlocking(flavor seedKind) map[*types.Func]blockCause {
 	forkJoinExempt := func(f *ipaFunc, kind seedKind) bool {
 		return flavor&seedCtx != 0 && kind&seedChan != 0 && f.hasGo
 	}
 	in := map[*types.Func]bool{}
-	for _, f := range b.a.order {
+	for _, f := range a.order {
 		for _, s := range f.seeds {
 			if s.kind&flavor != 0 && !forkJoinExempt(f, s.kind) {
 				in[f.fn] = true
@@ -403,12 +347,12 @@ func (b *ipaBuilder) solveBlocking(flavor seedKind) map[*types.Func]blockCause {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, f := range b.a.order {
+		for _, f := range a.order {
 			if in[f.fn] {
 				continue
 			}
 			for _, e := range f.edges {
-				if e.call && !e.spawned && in[e.callee] {
+				if !e.spawned && in[e.callee] {
 					in[f.fn] = true
 					changed = true
 					break
@@ -417,7 +361,7 @@ func (b *ipaBuilder) solveBlocking(flavor seedKind) map[*types.Func]blockCause {
 		}
 	}
 	out := map[*types.Func]blockCause{}
-	for _, f := range b.a.order {
+	for _, f := range a.order {
 		if !in[f.fn] {
 			continue
 		}
@@ -433,7 +377,7 @@ func (b *ipaBuilder) solveBlocking(flavor seedKind) map[*types.Func]blockCause {
 			}
 		}
 		for _, e := range f.edges {
-			if e.call && !e.spawned && in[e.callee] {
+			if !e.spawned && in[e.callee] {
 				consider(blockCause{pos: e.pos, via: e.callee})
 			}
 		}
@@ -464,203 +408,6 @@ func (a *ipa) blockWhy(m map[*types.Func]blockCause, fn *types.Func) string {
 		fmt.Fprintf(&sb, "calls %s, which ", shortFuncName(c.via))
 		cur = c.via
 	}
-}
-
-// ---------------------------------------------------------------------
-// digest reachability
-
-// digestRootNames are the functions whose outputs the byte-identity
-// gates compare: everything they can reach must be bit-deterministic.
-var digestRootNames = map[[2]string]bool{
-	{"harness", "CellDigest"}:  true,
-	{"harness", "CellTraceID"}: true,
-	{"shard", "ShardOf"}:       true,
-	{"store", "Digest"}:        true,
-}
-
-const digestRootMarker = "opmlint:digest-root"
-
-func isDigestRoot(f *ipaFunc) bool {
-	if f.decl.Doc != nil && strings.Contains(f.decl.Doc.Text(), digestRootMarker) {
-		return true
-	}
-	if strings.Contains(f.pkg.ImportPath, "testdata") {
-		return false // fixture packages opt in via the marker only
-	}
-	return f.decl.Recv == nil &&
-		digestRootNames[[2]string{path.Base(f.pkg.ImportPath), f.fn.Name()}]
-}
-
-// solveDigest computes the closure of functions reachable from the
-// digest roots over call and reference edges, expanding interface
-// methods to every module implementation.
-func (b *ipaBuilder) solveDigest() {
-	a := b.a
-	var queue []*types.Func
-	for _, f := range a.order {
-		if isDigestRoot(f) {
-			a.digestRoot[f.fn] = f.fn
-			queue = append(queue, f.fn)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		cf := a.funcs[cur]
-		if cf == nil {
-			continue
-		}
-		root := a.digestRoot[cur]
-		for _, e := range cf.edges {
-			targets := []*types.Func{e.callee}
-			if isIfaceMethod(e.callee) {
-				targets = append(targets, b.implsOf(e.callee)...)
-			}
-			for _, t := range targets {
-				if _, indexed := a.funcs[t]; !indexed {
-					continue
-				}
-				if _, seen := a.digestRoot[t]; seen {
-					continue
-				}
-				a.digestRoot[t] = root
-				a.digestFrom[t] = cur
-				queue = append(queue, t)
-			}
-		}
-	}
-}
-
-// digestPath renders the discovery chain root → … → fn.
-func (a *ipa) digestPath(fn *types.Func) string {
-	var hops []string
-	for cur := fn; cur != nil; cur = a.digestFrom[cur] {
-		hops = append(hops, shortFuncName(cur))
-		if len(hops) > 6 {
-			hops = append(hops, "…")
-			break
-		}
-		if a.digestFrom[cur] == nil {
-			break
-		}
-	}
-	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
-		hops[i], hops[j] = hops[j], hops[i]
-	}
-	return strings.Join(hops, " → ")
-}
-
-// moduleNamed lists every non-interface named type defined in the
-// module, deterministically.
-func (b *ipaBuilder) moduleNamed() []types.Type {
-	if b.named != nil {
-		return b.named
-	}
-	b.named = []types.Type{}
-	for _, ppath := range sortedPkgPaths(b.a.w) {
-		p := b.a.w.Pkgs[ppath]
-		if p.Types == nil {
-			continue
-		}
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || named.TypeParams().Len() > 0 {
-				continue
-			}
-			if _, isIface := named.Underlying().(*types.Interface); isIface {
-				continue
-			}
-			b.named = append(b.named, named)
-		}
-	}
-	return b.named
-}
-
-// implsOf expands an interface method to the corresponding methods of
-// every module type implementing the interface.
-func (b *ipaBuilder) implsOf(m *types.Func) []*types.Func {
-	if cached, ok := b.implMemo[m]; ok {
-		return cached
-	}
-	var out []*types.Func
-	sig, _ := m.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-			for _, named := range b.moduleNamed() {
-				var impl types.Type
-				switch {
-				case types.Implements(named, iface):
-					impl = named
-				case types.Implements(types.NewPointer(named), iface):
-					impl = types.NewPointer(named)
-				default:
-					continue
-				}
-				obj, _, _ := types.LookupFieldOrMethod(impl, true, m.Pkg(), m.Name())
-				if f, ok := obj.(*types.Func); ok {
-					if _, indexed := b.a.funcs[f]; indexed {
-						out = append(out, f)
-					}
-				}
-			}
-		}
-	}
-	b.implMemo[m] = out
-	return out
-}
-
-// ---------------------------------------------------------------------
-// atomic access index
-
-// scanAtomics records every module field/var whose address is passed
-// to a sync/atomic function, plus the spans of those calls.
-func (b *ipaBuilder) scanAtomics() {
-	a := b.a
-	for _, ppath := range sortedPkgPaths(a.w) {
-		p := a.w.Pkgs[ppath]
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := staticCallee(p.Info, call)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || recvTypeName(fn) != "" {
-					return true
-				}
-				a.atomicSpans = append(a.atomicSpans, posSpan{call.Pos(), call.End()})
-				for _, arg := range call.Args {
-					u, ok := unparen(arg).(*ast.UnaryExpr)
-					if !ok || u.Op != token.AND {
-						continue
-					}
-					obj := refObj(p.Info, u.X)
-					if obj == nil || obj.Pkg() == nil || !a.w.Internal(obj.Pkg().Path()) {
-						continue
-					}
-					a.atomicObjs[obj] = append(a.atomicObjs[obj], call.Pos())
-				}
-				return true
-			})
-		}
-	}
-}
-
-func (a *ipa) inAtomicSpan(pos token.Pos) bool {
-	for _, s := range a.atomicSpans {
-		if pos >= s.start && pos < s.end {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------
@@ -695,21 +442,6 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
 			return f
 		}
-	}
-	return nil
-}
-
-// refObj resolves the object a simple expression denotes (for &x and
-// &x.f atomic operands).
-func refObj(info *types.Info, e ast.Expr) types.Object {
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		if s, ok := info.Selections[e]; ok {
-			return s.Obj()
-		}
-		return info.Uses[e.Sel]
 	}
 	return nil
 }
@@ -749,15 +481,6 @@ func recvTypeName(f *types.Func) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-func isIfaceMethod(f *types.Func) bool {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	_, ok = sig.Recv().Type().Underlying().(*types.Interface)
-	return ok
 }
 
 // shortFuncName renders pkg.(*Recv).Name for messages: the package's
@@ -802,14 +525,4 @@ func directChildren(n ast.Node) []ast.Node {
 		return false
 	})
 	return out
-}
-
-// relPos renders a position as module-relative file:line for messages.
-func (w *World) relPos(pos token.Pos) string {
-	p := w.Fset.Position(pos)
-	rel := p.Filename
-	if r, err := filepath.Rel(w.Root, p.Filename); err == nil {
-		rel = filepath.ToSlash(r)
-	}
-	return fmt.Sprintf("%s:%d", rel, p.Line)
 }

@@ -59,7 +59,7 @@ var ctxflowCheck = &Check{
 				continue
 			}
 			for _, e := range f.edges {
-				if !e.call || e.spawned || sigHasCtx(e.callee) {
+				if e.spawned || sigHasCtx(e.callee) {
 					continue
 				}
 				var why string

@@ -31,7 +31,7 @@ var seededRandCtor = map[string]bool{
 
 var determinismCheck = &Check{
 	Name: "determinism",
-	Doc:  "no time.Now/time.Since or global-source math/rand in library code",
+	Doc:  "no time.Now/Since/Until or global-source math/rand in library code",
 	Applies: func(w *World, p *Package) bool {
 		return p.Name != "main"
 	},
@@ -50,7 +50,7 @@ var determinismCheck = &Check{
 				name := fn.Name()
 				switch fn.Pkg().Path() {
 				case "time":
-					if name == "Now" || name == "Since" {
+					if name == "Now" || name == "Since" || name == "Until" {
 						pass.Reportf(sel.Pos(),
 							"timing is the obs layer's privilege; if this value can never feed simulated results, annotate: //opmlint:allow determinism — <why>",
 							"wall-clock read time.%s in library code breaks bit-determinism", name)

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Suppression-directive hygiene for the five interprocedural checks:
+// Suppression-directive hygiene for the three interprocedural checks:
 // for each, a well-formed //opmlint:allow must actually silence a real
 // violation, while a malformed directive (no reason), one naming an
 // unknown check, and one suppressing nothing must each surface as
@@ -73,54 +73,6 @@ var malformed = 1
 var unknown = 2
 
 //opmlint:allow lockscope — suppresses nothing
-var unused = 3
-`,
-		"digestpure": `package p
-
-// digest is this scratch module's root.
-//
-// opmlint:digest-root
-func digest(parts map[string]int) int {
-	sum := 0
-	//opmlint:allow digestpure — scratch: order-independent sum
-	for _, v := range parts {
-		sum += v
-	}
-	return sum
-}
-
-//opmlint:allow digestpure
-var malformed = 1
-
-//opmlint:allow nosuchcheck — scratch reason
-var unknown = 2
-
-//opmlint:allow digestpure — suppresses nothing
-var unused = 3
-`,
-		"atomicmix": `package p
-
-import "sync/atomic"
-
-type stats struct {
-	n int64
-}
-
-func (s *stats) inc() {
-	atomic.AddInt64(&s.n, 1)
-}
-
-func (s *stats) total() int64 {
-	return s.n //opmlint:allow atomicmix — scratch: single-threaded join phase
-}
-
-//opmlint:allow atomicmix
-var malformed = 1
-
-//opmlint:allow nosuchcheck — scratch reason
-var unknown = 2
-
-//opmlint:allow atomicmix — suppresses nothing
 var unused = 3
 `,
 	}

@@ -15,18 +15,15 @@
 //	rangesort     no map iteration whose order can reach output: a
 //	              returned slice, an io.Writer, or an inline map
 //	              literal consumed in range order
-//	mustpath      deprecated panicking Must* helpers are callable only
-//	              from cmd/ and _test.go files
 //	counternames  obs counter/gauge/histogram names are compile-time
 //	              constants matching [a-z0-9_/]+
 //	errdiscard    no discarded errors in the store, faultinject and
 //	              serve packages (the journal's crash-safety layer
 //	              and the daemon on its write path)
 //
-// Five more checks are interprocedural, built on a shared module-wide
-// call graph (interface methods expanded over module implementations),
-// blocking-classification fixpoints, digest-root reachability, and a
-// per-function CFG (see callgraph.go and cfg.go):
+// Three more checks are interprocedural, built on a shared module-wide
+// call graph, blocking-classification fixpoints, and a per-function
+// CFG (see callgraph.go and cfg.go):
 //
 //	ctxflow       functions accepting a context thread it into every
 //	              blocking callee; context.Background()/TODO() banned
@@ -36,11 +33,6 @@
 //	              WaitGroup the spawner waits on, or a finite loop)
 //	lockscope     no blocking operation (channel, file/journal I/O,
 //	              HTTP, process wait) while a mutex is held
-//	digestpure    everything reachable from the digest roots is free
-//	              of clocks, unseeded rand and map iteration,
-//	              transitively
-//	atomicmix     fields accessed via sync/atomic are never accessed
-//	              plainly elsewhere
 //
 // Suppression is explicit and auditable: a finding is silenced only by
 // a //opmlint:allow <check> — <reason> comment on the offending line,
@@ -50,7 +42,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"path/filepath"
@@ -61,12 +52,12 @@ import (
 // Finding is one rule violation, addressed by module-root-relative
 // file path and position.
 type Finding struct {
-	File  string `json:"file"`
-	Line  int    `json:"line"`
-	Col   int    `json:"col"`
-	Check string `json:"check"`
-	Msg   string `json:"msg"`
-	Hint  string `json:"hint,omitempty"`
+	File  string
+	Line  int
+	Col   int
+	Check string
+	Msg   string
+	Hint  string
 }
 
 // Check is one named rule over a type-checked package.
@@ -109,14 +100,11 @@ func AllChecks() []*Check {
 	return []*Check{
 		determinismCheck,
 		rangesortCheck,
-		mustpathCheck,
 		counternamesCheck,
 		errdiscardCheck,
 		ctxflowCheck,
 		goroleakCheck,
 		lockscopeCheck,
-		digestpureCheck,
-		atomicmixCheck,
 	}
 }
 
@@ -148,10 +136,6 @@ type Options struct {
 	Patterns []string
 	// Checks to run. Default: AllChecks().
 	Checks []*Check
-	// BuildTags selects additionally-constrained files, like `go build
-	// -tags`. The digestpure mutation suite loads the repo with
-	// "opmlint_digest_mutation" to prove an injected clock is caught.
-	BuildTags []string
 	// NoCache forces a fresh parse+type-check instead of reusing the
 	// process-wide world cache (benchmarks measure the cold path).
 	NoCache bool
@@ -174,9 +158,9 @@ func Run(base string, opts Options) ([]Finding, error) {
 	var w *World
 	var err error
 	if opts.NoCache {
-		w, err = LoadTags(base, patterns, opts.BuildTags)
+		w, err = Load(base, patterns)
 	} else {
-		w, err = loadCached(base, patterns, opts.BuildTags)
+		w, err = loadCached(base, patterns)
 	}
 	if err != nil {
 		return nil, err
@@ -234,17 +218,4 @@ func FormatText(fs []Finding) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// FormatJSON renders findings as a deterministic JSON array (always
-// an array, never null) for scripts/lint-diff.sh and other tooling.
-func FormatJSON(fs []Finding) (string, error) {
-	if fs == nil {
-		fs = []Finding{}
-	}
-	data, err := json.MarshalIndent(fs, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(data) + "\n", nil
 }

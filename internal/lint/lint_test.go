@@ -11,14 +11,11 @@ import (
 var fixturePkgs = map[string]string{
 	"determinism":  "internal/lint/testdata/determinism/determinism",
 	"rangesort":    "internal/lint/testdata/rangesort/rangesort",
-	"mustpath":     "internal/lint/testdata/mustpath/mustpath",
 	"counternames": "internal/lint/testdata/counternames/counternames",
 	"errdiscard":   "internal/lint/testdata/errdiscard/store",
 	"ctxflow":      "internal/lint/testdata/ctxflow/ctxflow",
 	"goroleak":     "internal/lint/testdata/goroleak/goroleak",
 	"lockscope":    "internal/lint/testdata/lockscope/lockscope",
-	"digestpure":   "internal/lint/testdata/digestpure/digestpure",
-	"atomicmix":    "internal/lint/testdata/atomicmix/atomicmix",
 }
 
 func repoRoot(t *testing.T) string {
@@ -204,33 +201,5 @@ func Unused() int {
 	clockReads := strings.Count(text, "wall-clock read time.Now")
 	if clockReads != 2 {
 		t.Errorf("want 2 surviving clock findings, got %d:\n%s", clockReads, text)
-	}
-}
-
-// TestJSONDeterministic: the -json rendering is stable and always an
-// array, for scripts/lint-diff.sh baselines.
-func TestJSONDeterministic(t *testing.T) {
-	root := repoRoot(t)
-	var outs [2]string
-	for i := range outs {
-		findings, err := Run(root, Options{Patterns: []string{fixturePkgs["rangesort"]}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := FormatJSON(findings)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs[i] = s
-	}
-	if outs[0] != outs[1] {
-		t.Errorf("JSON output differs between identical runs:\n%s\nvs\n%s", outs[0], outs[1])
-	}
-	empty, err := FormatJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(empty) != "[]" {
-		t.Errorf("empty findings must render as [], got %q", empty)
 	}
 }

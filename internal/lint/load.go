@@ -33,9 +33,6 @@ type World struct {
 	Module string // module path from go.mod
 	Root   string // absolute module root directory
 	Pkgs   map[string]*Package
-	// Tags is the build-tag set files were selected under (see
-	// Options.BuildTags); empty for a default load.
-	Tags []string
 
 	// interprocedural analyses, built lazily on first use and shared by
 	// every check of the run (and, via the world cache, across runs).
@@ -88,17 +85,9 @@ func FindModule(dir string) (root, module string, err error) {
 	}
 }
 
-// Load parses and type-checks the packages matched by patterns.
-// Patterns are directories relative to base (or absolute), with a
-// trailing "/..." walking the subtree; testdata, vendor and hidden
-// directories are skipped during walks but may be named explicitly.
-func Load(base string, patterns []string) (*World, error) {
-	return LoadTags(base, patterns, nil)
-}
-
-// worldCache memoizes loaded worlds per (base, patterns, tags) for the
+// worldCache memoizes loaded worlds per (base, patterns) for the
 // process lifetime. One `go test ./internal/lint` run loads the module
-// many times over (self-check, fixtures, JSON determinism, benchmarks);
+// many times over (self-check, fixtures, directive cases, benchmarks);
 // type-checking the tree — and especially the from-source stdlib
 // fallback — dominated that wall time before the cache. Worlds are
 // immutable after load (directives are re-collected per run), so
@@ -108,19 +97,19 @@ var worldCache = struct {
 	m map[string]*World
 }{m: map[string]*World{}}
 
-func loadCached(base string, patterns, tags []string) (*World, error) {
+func loadCached(base string, patterns []string) (*World, error) {
 	abs, err := filepath.Abs(base)
 	if err != nil {
 		return nil, err
 	}
-	key := abs + "\x00" + strings.Join(patterns, "\x00") + "\x01" + strings.Join(tags, "\x00")
+	key := abs + "\x00" + strings.Join(patterns, "\x00")
 	worldCache.Lock()
 	w, ok := worldCache.m[key]
 	worldCache.Unlock()
 	if ok {
 		return w, nil
 	}
-	w, err = LoadTags(base, patterns, tags)
+	w, err = Load(base, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -130,11 +119,13 @@ func loadCached(base string, patterns, tags []string) (*World, error) {
 	return w, nil
 }
 
-// LoadTags is Load with an explicit build-tag set: files whose
-// //go:build constraint evaluates false under tags (plus the host
-// GOOS/GOARCH) are skipped, exactly as the go tool would. The
-// digestpure mutation probe rides in on this seam.
-func LoadTags(base string, patterns, tags []string) (*World, error) {
+// Load parses and type-checks the packages matched by patterns.
+// Patterns are directories relative to base (or absolute), with a
+// trailing "/..." walking the subtree; testdata, vendor and hidden
+// directories are skipped during walks but may be named explicitly.
+// Files whose //go:build constraint is false for the host are skipped,
+// as the go tool would.
+func Load(base string, patterns []string) (*World, error) {
 	root, module, err := FindModule(base)
 	if err != nil {
 		return nil, err
@@ -144,7 +135,6 @@ func LoadTags(base string, patterns, tags []string) (*World, error) {
 		Module: module,
 		Root:   root,
 		Pkgs:   map[string]*Package{},
-		Tags:   tags,
 	}
 	dirs, err := w.expand(base, patterns)
 	if err != nil {
@@ -309,7 +299,7 @@ func (w *World) addDir(dir string, requested bool) error {
 		if err != nil {
 			return fmt.Errorf("lint: parsing %s: %w", full, err)
 		}
-		if !w.buildSelected(f) {
+		if !buildSelected(f) {
 			continue
 		}
 		if p.Name == "" {
@@ -331,11 +321,10 @@ func (w *World) addDir(dir string, requested bool) error {
 }
 
 // buildSelected reports whether f's //go:build constraint (if any)
-// evaluates true under the world's tag set. Host GOOS/GOARCH and go1.*
-// version tags are always satisfied; everything else — including the
-// conventional "ignore" — must appear in World.Tags to select the
-// file, mirroring `go build -tags`.
-func (w *World) buildSelected(f *ast.File) bool {
+// evaluates true for the host: GOOS/GOARCH and go1.* version tags are
+// satisfied, every other tag (including the conventional "ignore") is
+// not, mirroring `go build` without -tags.
+func buildSelected(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		if cg.Pos() >= f.Package {
 			break
@@ -351,15 +340,7 @@ func (w *World) buildSelected(f *ast.File) bool {
 				return false
 			}
 			return expr.Eval(func(tag string) bool {
-				if tag == runtime.GOOS || tag == runtime.GOARCH || strings.HasPrefix(tag, "go1") {
-					return true
-				}
-				for _, t := range w.Tags {
-					if t == tag {
-						return true
-					}
-				}
-				return false
+				return tag == runtime.GOOS || tag == runtime.GOARCH || strings.HasPrefix(tag, "go1")
 			})
 		}
 	}

@@ -20,3 +20,8 @@ func Elapsed(start time.Time) time.Duration {
 func Jitter() float64 {
 	return rand.Float64()
 }
+
+// Remaining leaks the wall clock through time.Until.
+func Remaining(deadline time.Time) time.Duration {
+	return time.Until(deadline)
+}

@@ -426,3 +426,12 @@ func TestBufferBoundsChecking(t *testing.T) {
 		}()
 	}
 }
+
+// MustNewSim is NewSim that panics on error, for tests.
+func MustNewSim(cfg Config) *Sim {
+	s, err := NewSim(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}

@@ -294,3 +294,12 @@ func TestSteppingShapeOnStreamSweep(t *testing.T) {
 		t.Fatalf("plateaus should converge, ratio %v", ratio)
 	}
 }
+
+// MustEvaluate is Evaluate that panics on error, for tests.
+func MustEvaluate(cfg *Config, t Traffic, k KernelProps) Result {
+	r, err := Evaluate(cfg, t, k)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}

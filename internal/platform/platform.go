@@ -103,18 +103,6 @@ func (p *Platform) Config(mode memsim.Mode) (memsim.Config, error) {
 	return cfg, nil
 }
 
-// MustConfig is Config that panics on error.
-//
-// Deprecated: retained for examples and tests. Library and harness
-// code should call Config and surface the error.
-func (p *Platform) MustConfig(mode memsim.Mode) memsim.Config {
-	cfg, err := p.Config(mode)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
-
 // Broadwell returns the Core i7-5775c description: 4 cores @ 3.7 GHz,
 // 6 MB L3, 128 MB eDRAM L4 (102.4 GB/s OPIO), DDR3-2133 (34.1 GB/s).
 // Simulated with Scale=16.

@@ -129,3 +129,12 @@ func TestSkylakeExtensionPlatform(t *testing.T) {
 		t.Fatal("All must stay the paper's two platforms")
 	}
 }
+
+// MustConfig is Config that panics on error, for tests.
+func (p *Platform) MustConfig(mode memsim.Mode) memsim.Config {
+	cfg, err := p.Config(mode)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}

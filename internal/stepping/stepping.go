@@ -72,18 +72,6 @@ func Model(name string, levels []Level, k Kernel, minFP, maxFP int64, points int
 	return c, nil
 }
 
-// MustModel is Model that panics on error.
-//
-// Deprecated: retained for examples and tests. Library and harness
-// code should call Model and surface the error.
-func MustModel(name string, levels []Level, k Kernel, minFP, maxFP int64, points int) Curve {
-	c, err := Model(name, levels, k, minFP, maxFP, points)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func eval(levels []Level, k Kernel, fp int64) Point {
 	w := float64(fp)
 	// Share of traffic served by each level.

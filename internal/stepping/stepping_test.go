@@ -157,3 +157,12 @@ func abs64(x int64) int64 {
 	}
 	return x
 }
+
+// MustModel is Model that panics on error, for tests.
+func MustModel(name string, levels []Level, k Kernel, minFP, maxFP int64, points int) Curve {
+	c, err := Model(name, levels, k, minFP, maxFP, points)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}

@@ -36,9 +36,19 @@ func smallCfg(mode memsim.Mode) memsim.Config {
 	return cfg
 }
 
+// newSim builds a simulator for cfg, failing the test on a bad config.
+func newSim(t *testing.T, cfg memsim.Config) *memsim.Sim {
+	t.Helper()
+	sim, err := memsim.NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
 func runWorkload(t *testing.T, w Workload, mode memsim.Mode) memsim.Traffic {
 	t.Helper()
-	sim := memsim.MustNewSim(smallCfg(mode))
+	sim := newSim(t, smallCfg(mode))
 	w.Simulate(sim)
 	return sim.Traffic()
 }
@@ -228,7 +238,7 @@ func TestDenseModelMatchesTraceGEMM(t *testing.T) {
 	for _, tc := range []struct{ n, nb int }{
 		{128, 16}, {128, 64}, {256, 32}, {256, 128},
 	} {
-		sim := memsim.MustNewSim(cfg)
+		sim := newSim(t, cfg)
 		(&GEMM{N: tc.n, NB: tc.nb}).Simulate(sim)
 		traceDDR := float64(sim.Traffic().Bytes[memsim.SrcDDR] + sim.Traffic().WBBytes[memsim.SrcDDR])
 
@@ -312,7 +322,7 @@ func TestDenseModelMatchesTraceCholesky(t *testing.T) {
 	for _, tc := range []struct{ n, nb int }{
 		{256, 32}, {256, 64}, {384, 48},
 	} {
-		sim := memsim.MustNewSim(cfg)
+		sim := newSim(t, cfg)
 		(&Cholesky{N: tc.n, NB: tc.nb}).Simulate(sim)
 		traceDDR := float64(sim.Traffic().Bytes[memsim.SrcDDR] + sim.Traffic().WBBytes[memsim.SrcDDR])
 

@@ -53,7 +53,6 @@ func (e *Escalating) Mode() string { return "auto" }
 // the store instead of aliasing stale auto-mode results.
 func (e *Escalating) Version() string {
 	fams := make([]string, 0, len(e.bounds))
-	//opmlint:allow digestpure — keys are collected then sorted before rendering; iteration order never reaches the version string
 	for f := range e.bounds {
 		fams = append(fams, f)
 	}
