@@ -72,8 +72,6 @@ type Cache interface {
 	Insert(lineAddr uint64, dirty bool) Line
 	// Stats returns the accumulated statistics.
 	Stats() *Stats
-	// SizeBytes returns the capacity in bytes.
-	SizeBytes() int64
 	// Reset clears contents and statistics.
 	Reset()
 }

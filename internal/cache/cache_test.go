@@ -351,3 +351,11 @@ func BenchmarkDirectMappedAccess(b *testing.B) {
 		c.Access(addrs[i&(len(addrs)-1)], i&7 == 0)
 	}
 }
+
+func BenchmarkDirectMappedReset(b *testing.B) {
+	c := NewDirectMapped("mc", 256*1024*1024) // KNL's simulated MCDRAM cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Reset()
+	}
+}

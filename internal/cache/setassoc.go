@@ -5,18 +5,22 @@ import "fmt"
 // SetAssoc is a set-associative cache with true-LRU replacement,
 // implemented with per-line timestamps (a hit only writes one counter,
 // keeping the simulator's hot path free of shuffling).
+//
+// Each way is a key and an age in two parallel slices. A key is
+// (line+1)<<1 | dirty, and 0 marks an empty way, so a lookup scans
+// only the set's keys. A way's age is 0 exactly when it is empty and
+// otherwise the clock value of its last use, unique within the cache;
+// the first way of minimum age is therefore the first empty way if
+// there is one and the least recently used way if not, which is the
+// victim a fill takes. The encoding is exact for line addresses below
+// 2^62, which covers every address LineAddr returns.
 type SetAssoc struct {
-	name     string
-	sets     int
-	ways     int
-	setMask  uint64
-	tags     []uint64 // sets*ways
-	valid    []bool
-	dirty    []bool
-	age      []uint64 // LRU timestamps
-	clock    uint64
-	stats    Stats
-	capacity int64
+	ways    int
+	setMask uint64
+	keys    []uint64 // sets*ways
+	age     []uint64 // sets*ways; LRU timestamps
+	clock   uint64
+	stats   Stats
 }
 
 // NewSetAssoc builds a set-associative cache of the given capacity in
@@ -35,135 +39,116 @@ func NewSetAssoc(name string, capacityBytes int64, ways int) *SetAssoc {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, sets))
 	}
 	return &SetAssoc{
-		name:     name,
-		sets:     sets,
-		ways:     ways,
-		setMask:  uint64(sets - 1),
-		tags:     make([]uint64, sets*ways),
-		valid:    make([]bool, sets*ways),
-		dirty:    make([]bool, sets*ways),
-		age:      make([]uint64, sets*ways),
-		capacity: capacityBytes,
+		ways:    ways,
+		setMask: uint64(sets - 1),
+		keys:    make([]uint64, lines),
+		age:     make([]uint64, lines),
 	}
 }
 
-// Name returns the cache's diagnostic name.
-func (c *SetAssoc) Name() string { return c.name }
-
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
-
-// Sets returns the number of sets.
-func (c *SetAssoc) Sets() int { return c.sets }
-
-// SizeBytes returns the capacity in bytes.
-func (c *SetAssoc) SizeBytes() int64 { return c.capacity }
+// lineKey is the key a resident clean copy of lineAddr holds.
+func lineKey(lineAddr uint64) uint64 { return (lineAddr + 1) << 1 }
 
 // Stats returns the accumulated statistics.
 func (c *SetAssoc) Stats() *Stats { return &c.stats }
 
 // Reset clears contents and statistics.
 func (c *SetAssoc) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-		c.age[i] = 0
-	}
+	clear(c.keys)
+	clear(c.age)
 	c.clock = 0
 	c.stats = Stats{}
 }
 
-func (c *SetAssoc) setBase(lineAddr uint64) int {
-	return int(lineAddr&c.setMask) * c.ways
+// find returns the index of lineAddr's set's first way, and the index
+// of the way holding lineAddr, or -1 when the line is absent.
+func (c *SetAssoc) find(lineAddr uint64) (base, i int) {
+	base = int(lineAddr&c.setMask) * c.ways
+	want := lineKey(lineAddr)
+	for w, k := range c.keys[base : base+c.ways] {
+		if k&^1 == want {
+			return base, base + w
+		}
+	}
+	return base, -1
 }
 
 // Access implements Cache.
 func (c *SetAssoc) Access(lineAddr uint64, write bool) (bool, Line) {
 	c.stats.Accesses++
-	base := c.setBase(lineAddr)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == lineAddr && c.valid[i] {
-			c.stats.Hits++
-			c.clock++
-			c.age[i] = c.clock
-			if write {
-				c.dirty[i] = true
-			}
-			return true, Line{}
-		}
+	base, i := c.find(lineAddr)
+	if i < 0 {
+		c.stats.Misses++
+		return false, c.fill(base, lineAddr, write)
 	}
-	c.stats.Misses++
-	return false, c.fill(base, lineAddr, write)
+	c.stats.Hits++
+	c.clock++
+	c.age[i] = c.clock
+	if write {
+		c.keys[i] |= 1
+	}
+	return true, Line{}
 }
 
 // Probe implements Cache.
 func (c *SetAssoc) Probe(lineAddr uint64) bool {
-	base := c.setBase(lineAddr)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == lineAddr && c.valid[i] {
-			return true
-		}
-	}
-	return false
+	_, i := c.find(lineAddr)
+	return i >= 0
 }
 
 // Invalidate implements Cache.
 func (c *SetAssoc) Invalidate(lineAddr uint64) (bool, bool) {
-	base := c.setBase(lineAddr)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == lineAddr && c.valid[i] {
-			d := c.dirty[i]
-			c.valid[i] = false
-			c.dirty[i] = false
-			c.age[i] = 0
-			return true, d
-		}
+	_, i := c.find(lineAddr)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty := c.keys[i]&1 != 0
+	c.keys[i] = 0
+	c.age[i] = 0
+	return true, dirty
 }
 
 // Insert implements Cache.
 func (c *SetAssoc) Insert(lineAddr uint64, dirty bool) Line {
-	base := c.setBase(lineAddr)
-	// If already present, refresh state instead of duplicating.
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == lineAddr && c.valid[i] {
-			c.dirty[i] = c.dirty[i] || dirty
-			c.clock++
-			c.age[i] = c.clock
-			return Line{}
-		}
+	base, i := c.find(lineAddr)
+	if i < 0 {
+		return c.fill(base, lineAddr, dirty)
 	}
-	return c.fill(base, lineAddr, dirty)
+	// Already present: refresh state instead of duplicating.
+	if dirty {
+		c.keys[i] |= 1
+	}
+	c.clock++
+	c.age[i] = c.clock
+	return Line{}
 }
 
-// fill installs a line, evicting the LRU way if the set is full.
+// fill installs a line in the first way of minimum age: the first
+// empty way, or the LRU way when the set is full.
 func (c *SetAssoc) fill(base int, lineAddr uint64, dirty bool) Line {
-	victim := base
-	var oldest uint64 = ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		if !c.valid[i] {
-			victim = i
-			oldest = 0
-			break
-		}
-		if c.age[i] < oldest {
-			oldest, victim = c.age[i], i
+	ages := c.age[base : base+c.ways]
+	victim, oldest := 0, ages[0]
+	for w, a := range ages {
+		if a < oldest {
+			victim, oldest = w, a
 		}
 	}
+	i := base + victim
 	var ev Line
-	if c.valid[victim] {
-		ev = Line{Addr: c.tags[victim], Dirty: c.dirty[victim], Valid: true}
+	if k := c.keys[i]; k != 0 {
+		ev = Line{Addr: k>>1 - 1, Dirty: k&1 != 0, Valid: true}
 		c.stats.Evictions++
 		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
 	c.clock++
-	c.tags[victim] = lineAddr
-	c.valid[victim] = true
-	c.dirty[victim] = dirty
-	c.age[victim] = c.clock
+	key := lineKey(lineAddr)
+	if dirty {
+		key |= 1
+	}
+	c.keys[i] = key
+	c.age[i] = c.clock
 	return ev
 }
 

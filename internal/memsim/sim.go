@@ -65,11 +65,13 @@ func (b Buffer) InMCDRAM() bool { return b.base < ddrBase }
 
 // check panics on out-of-allocation accesses: a trace generator bug
 // would otherwise silently alias another buffer's lines and corrupt
-// the experiment (the simulated analogue of a segfault).
+// the experiment (the simulated analogue of a segfault). n is compared
+// with the room left past off, since off+n can wrap for a huge n.
 func (b Buffer) check(off, n int64) {
-	if off < 0 || n <= 0 || off+n > (b.size+cache.LineSize-1)&^(cache.LineSize-1) {
-		panic(fmt.Sprintf("memsim: buffer %q: access [%d, %d) outside %d bytes",
-			b.name, off, off+n, b.size))
+	limit := (b.size + cache.LineSize - 1) &^ (cache.LineSize - 1)
+	if off < 0 || n <= 0 || off > limit || n > limit-off {
+		panic(fmt.Sprintf("memsim: buffer %q: access of %d bytes at %d outside %d bytes",
+			b.name, n, off, b.size))
 	}
 }
 
@@ -365,11 +367,11 @@ func (s *Sim) accessLine(line uint64, write bool) {
 				return
 			}
 		}
-		s.serveFromMemory(line, false)
+		s.serveFromMemory(line)
 		return
 	}
 	// KNL path: below L2 sits MCDRAM (mode-dependent) or DDR.
-	s.serveFromMemory(line, false)
+	s.serveFromMemory(line)
 }
 
 // evictFromL2 handles a dirty L2 victim: it is absorbed by L3 when
@@ -404,7 +406,7 @@ func (s *Sim) evictFromL3(ev cache.Line) {
 
 // serveFromMemory satisfies a demand fill from the memory side
 // (MCDRAM and/or DDR depending on mode and address region).
-func (s *Sim) serveFromMemory(line uint64, _ bool) {
+func (s *Sim) serveFromMemory(line uint64) {
 	byteAddr := line << cache.LineShift
 	switch s.cfg.Mode {
 	case ModeFlat:

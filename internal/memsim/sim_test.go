@@ -1,7 +1,9 @@
 package memsim
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 )
@@ -414,16 +416,25 @@ func TestBufferBoundsChecking(t *testing.T) {
 		{"negative offset", func() { buf.Load(-8, 8) }},
 		{"zero length", func() { buf.Load(0, 0) }},
 		{"lines past end", func() { buf.LoadLines(64, 128) }},
+		// off+n wraps negative: a check on the sum walks ~2^57 lines.
+		{"length overflows", func() { buf.LoadLines(64, math.MaxInt64) }},
 	}
 	for _, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", c.name)
-				}
-			}()
+		// Each call runs under a deadline, so a check that lets the
+		// access through fails the test instead of hanging it.
+		panicked := make(chan bool, 1)
+		go func() {
+			defer func() { panicked <- recover() != nil }()
 			c.fn()
 		}()
+		select {
+		case ok := <-panicked:
+			if !ok {
+				t.Errorf("%s: expected panic", c.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no panic within 5s", c.name)
+		}
 	}
 }
 

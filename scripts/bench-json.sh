@@ -1,12 +1,12 @@
 #!/bin/sh
 # bench-json.sh — emit the repo's perf trajectory as JSON.
 #
-# Runs the fixed benchmark roster (sweep-engine overheads, the memory
-# simulator's streaming hot loop, twin-vs-exact, store warm/cold, and
-# the obs registry/tracer overhead guards) through `go test -bench
-# -json`, extracts every "<name> ns/op" result from the test2json
-# stream, and writes the sorted {benchmark: ns_per_op} map to
-# BENCH_sweep.json.
+# Runs the fixed benchmark roster (sweep-engine overheads, the cache
+# models' lookups and reset, the memory simulator's streaming hot loop,
+# twin-vs-exact, store warm/cold, and the obs registry/tracer overhead
+# guards) through `go test -bench -json`, extracts every "<name> ns/op"
+# result from the test2json stream, and writes the sorted {benchmark:
+# ns_per_op} map to BENCH_sweep.json.
 #
 # Usage:
 #   scripts/bench-json.sh           # measure, (over)write BENCH_sweep.json
@@ -60,6 +60,7 @@ bench() { # package regex benchtime
 }
 
 bench ./internal/sweep  'BenchmarkMap(DisabledResilience|IdleResilience|NilInjector)$' 100x
+bench ./internal/cache  'Benchmark(SetAssocAccess|DirectMappedAccess|DirectMappedReset)$' 1s
 bench ./internal/memsim 'BenchmarkSimStreamingAccess$' 1s
 bench ./internal/twin   'BenchmarkTwinVsExact$' 1x
 bench .                 'BenchmarkObsOverhead$' 1x

@@ -47,6 +47,15 @@ go run ./cmd/opmcalib -check
 echo "== go test -race $pkgs"
 go test -race -timeout 60m $pkgs
 
+# The cache models' fuzz targets: each decodes a geometry and an
+# operation stream and requires the cache to match its reference
+# implementation (internal/cache/ref_test.go) after every operation.
+# Plain `go test` above replays only the committed seed corpus.
+for target in FuzzSetAssoc FuzzDirectMapped; do
+	echo "== go test -fuzz $target (10s)"
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/cache
+done
+
 # The store's crash-safety claims rest on its locking discipline; run
 # its suite twice under the race detector to shake out ordering flakes.
 echo "== go test -race -count=2 ./internal/store"
