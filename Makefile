@@ -56,8 +56,8 @@ bench-obs:
 bench-store:
 	go test -bench=BenchmarkStoreWarmVsCold -benchtime=3x -run=^$$ .
 
-# Tracing overhead guard: nil tracer vs in-memory ring vs ring + JSONL
-# sink on the same sweep.
+# Tracing overhead guard: nil tracer vs the JSONL file sink on the same
+# sweep.
 bench-trace:
 	go test -bench=BenchmarkTraceOverhead -benchtime=3x -run=^$$ .
 

@@ -80,22 +80,18 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkTraceOverhead measures the causal event tracer on the same
 // sweep hot path as BenchmarkObsOverhead: "disabled" (nil tracer —
-// every Emit and context lookup is a branch-and-return), "ring"
-// (bounded in-memory ring recording every chain), and "jsonl" (ring
-// plus the append-only file sink opmbench -trace uses). The ring
-// variant should stay within a couple percent of disabled and the
-// disabled variant should be indistinguishable from no tracer at all;
-// the jobs are simulator-bound, so per-event lock-plus-copy is noise.
+// every Emit and context lookup is a branch-and-return) and "jsonl"
+// (the append-only file sink opmbench -trace writes, one marshalled
+// line per event). The jsonl variant should stay within a couple
+// percent of disabled: the jobs are simulator-bound, so a per-event
+// lock, marshal and buffered write is noise.
 func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		benchExperimentOpts(b, "fig9", harness.Options{Stride: 48})
 	})
-	b.Run("ring", func(b *testing.B) {
-		benchExperimentOpts(b, "fig9", harness.Options{Stride: 48, Trace: obs.NewTracer(0)})
-	})
 	b.Run("jsonl", func(b *testing.B) {
-		tr := obs.NewTracer(0)
-		if err := tr.SinkFile(b.TempDir() + "/trace.jsonl"); err != nil {
+		tr, err := obs.CreateTracer(b.TempDir() + "/trace.jsonl")
+		if err != nil {
 			b.Fatal(err)
 		}
 		defer tr.Close()

@@ -84,7 +84,7 @@ func run() int {
 		traceFile  = flag.String("trace", "", "append every sweep job's causal event chain to this JSONL file (analyze with opmprof, export to Perfetto)")
 		logLevel   = flag.String("log-level", "", "structured logging on stderr at this level (debug|info|warn|error; off when empty)")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text (needs -log-level)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, expvar and live /metrics on this address (e.g. localhost:6060)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, Go runtime vars (/debug/vars) and the live registry (/metrics, /metrics/prom) on this address (e.g. localhost:6060)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	)
 	flag.Parse()
@@ -192,8 +192,8 @@ func run() int {
 	}
 	var tracer *obs.Tracer
 	if *traceFile != "" {
-		tracer = obs.NewTracer(0)
-		if err := tracer.SinkFile(*traceFile); err != nil {
+		var err error
+		if tracer, err = obs.CreateTracer(*traceFile); err != nil {
 			fmt.Fprintln(os.Stderr, "opmbench:", err)
 			return 2
 		}

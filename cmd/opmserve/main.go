@@ -74,8 +74,8 @@ func run() int {
 
 	var tracer *obs.Tracer
 	if *traceFile != "" {
-		tracer = obs.NewTracer(0)
-		if err := tracer.SinkFile(*traceFile); err != nil {
+		var err error
+		if tracer, err = obs.CreateTracer(*traceFile); err != nil {
 			fmt.Fprintln(os.Stderr, "opmserve:", err)
 			return 2
 		}

@@ -126,7 +126,11 @@ func TestObsDoesNotChangeReportBytes(t *testing.T) {
 	if u, ok := snap.Gauges["sweep/worker_utilization"]; !ok || u <= 0 || u > 1 {
 		t.Errorf("worker utilization gauge = %v, %v", u, ok)
 	}
-	if opt.Obs.SpanReport() == "" {
-		t.Error("no spans recorded")
+	// Spans are histogram observations: one per experiment run, one
+	// per sweep and render phase.
+	for _, name := range []string{"exp/fig9", "sparse/broadwell/SpMV/sweep", "sparse/broadwell/SpMV/render"} {
+		if h := snap.Histograms[name]; h.Count != 1 {
+			t.Errorf("span histogram %s count = %d, want 1", name, h.Count)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -11,6 +12,24 @@ import (
 	"repro/internal/store"
 	"repro/internal/twin"
 )
+
+// newTracer returns a tracer writing into a buffer, and a func that
+// closes it and decodes the full event stream it wrote.
+func newTracer(t *testing.T) (*obs.Tracer, func() []obs.Event) {
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	return tr, func() []obs.Event {
+		t.Helper()
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := obs.ReadTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+}
 
 // tracedRun executes one experiment with a fresh tracer attached,
 // returning the report and the tracer's full event stream.
@@ -23,7 +42,8 @@ func tracedRun(t *testing.T, id, spec string, pol *resilience.Policy, st *store.
 	opt := tiny
 	opt.Resilience = pol
 	opt.Store = st
-	opt.Trace = obs.NewTracer(0)
+	var events func() []obs.Event
+	opt.Trace, events = newTracer(t)
 	if spec != "" {
 		reg := obs.NewRegistry()
 		opt.Obs = reg
@@ -38,7 +58,7 @@ func tracedRun(t *testing.T, id, spec string, pol *resilience.Policy, st *store.
 	if err != nil {
 		t.Fatalf("%s traced under faults %q: %v", id, spec, err)
 	}
-	return rep, opt.Trace.Events()
+	return rep, events()
 }
 
 // TestTraceByteIdentity is the tentpole contract of the tracing layer:
@@ -111,11 +131,12 @@ func TestTraceChainDeterminism(t *testing.T) {
 		}
 		opt := tiny
 		opt.Workers = 4
-		opt.Trace = obs.NewTracer(0)
+		var events func() []obs.Event
+		opt.Trace, events = newTracer(t)
 		if _, err := e.Run(context.Background(), opt); err != nil {
 			t.Fatal(err)
 		}
-		return opt.Trace.Events()
+		return events()
 	}
 	a, b := chainShape(run()), chainShape(run())
 	if len(a) != len(b) {
@@ -180,11 +201,12 @@ func TestTraceEscalationEvents(t *testing.T) {
 	}
 	opt := tiny
 	opt.Estimator = est
-	opt.Trace = obs.NewTracer(0)
+	var events func() []obs.Event
+	opt.Trace, events = newTracer(t)
 	if _, err := e.Run(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
-	p := obs.AnalyzeTrace(opt.Trace.Events())
+	p := obs.AnalyzeTrace(events())
 	for _, c := range p.Chains {
 		if c.Escalations == 0 {
 			t.Fatalf("chain %s never escalated under a tolerance no family meets", c.Trace)

@@ -28,7 +28,6 @@ var instrumentMethods = map[string]int{
 	"Gauge":         0,
 	"Histogram":     0,
 	"StartSpan":     0,
-	"Child":         0,
 	"Emit":          1,
 	"TraceEvent":    1,
 	"TraceEventDur": 1,

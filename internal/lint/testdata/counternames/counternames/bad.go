@@ -27,11 +27,6 @@ func DynamicSpan(reg *obs.Registry, phase string) {
 	reg.StartSpan("run/" + phase).End()
 }
 
-// BadChild nests a sub-span whose name violates the charset.
-func BadChild(reg *obs.Registry) {
-	reg.StartSpan("run/total").Child("Render Phase").End()
-}
-
 // DynamicEvent emits a trace event under a run-time name.
 func DynamicEvent(ctx context.Context, kind string) {
 	obs.TraceEvent(ctx, "job/"+kind, "")

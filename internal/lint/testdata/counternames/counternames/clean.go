@@ -23,7 +23,6 @@ func Publish(reg *obs.Registry, n int64) {
 func Phases(ctx context.Context, reg *obs.Registry, tr *obs.Tracer) {
 	sp := reg.StartSpan("run/total")
 	defer sp.End()
-	sp.Child("render").End()
 	obs.TraceEvent(ctx, "job/done", "")
 	obs.TraceEventDur(ctx, prefix+"commit", 0, "")
 	tr.Emit("id", "job/enqueue", "key", -1, 0, "")

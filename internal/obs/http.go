@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
 // MetricsHandler serves the registry (plus manifest, may both be nil)
@@ -37,34 +36,18 @@ func MetricsHandler(r *Registry, manifest func() *Manifest) http.Handler {
 	})
 }
 
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the registry under the expvar name "opm" (on
-// /debug/vars). Only the first registry published wins — expvar names
-// are process-global and re-publishing panics — which matches the
-// one-registry-per-process CLI usage.
-func PublishExpvar(r *Registry) {
-	if r == nil {
-		return
-	}
-	expvarOnce.Do(func() {
-		expvar.Publish("opm", expvar.Func(func() any { return r.Snapshot() }))
-	})
-}
-
 // Serve starts a debug HTTP server on addr exposing net/http/pprof
-// (/debug/pprof/), expvar (/debug/vars, including the registry under
-// "opm"), the live registry dump (/metrics), and the Prometheus
-// text-exposition rendering (/metrics/prom). It returns the server
-// and its bound address (useful with ":0") and never blocks; Close the
-// server to stop it. The handlers are mounted on a private mux so
-// importing this package does not pollute http.DefaultServeMux.
+// (/debug/pprof/), Go's runtime vars via expvar (/debug/vars), the
+// live registry dump (/metrics), and the Prometheus text-exposition
+// rendering (/metrics/prom). It returns the server and its bound
+// address (useful with ":0") and never blocks; Close the server to
+// stop it. The handlers are mounted on a private mux so importing this
+// package does not pollute http.DefaultServeMux.
 func Serve(addr string, r *Registry, manifest func() *Manifest) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	PublishExpvar(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,10 +1,11 @@
 // Package obs is the reproduction's observability layer: a lightweight
 // metrics registry (atomic counters, gauges, fixed-bucket latency
-// histograms), hierarchical wall-time spans, structured logging
-// helpers, and a run manifest for provenance. The sweep engine, the
-// hierarchy simulator and the experiment harness all publish into one
-// Registry, and cmd/opmbench dumps it as JSON (-metrics) or serves it
-// live next to net/http/pprof (-pprof).
+// histograms, and spans that time a phase into the histogram named by
+// its path), a causal per-job event tracer that writes JSONL,
+// structured logging helpers, and a run manifest for provenance. The
+// sweep engine, the hierarchy simulator and the experiment harness all
+// publish into one Registry, and cmd/opmbench dumps it as JSON
+// (-metrics) or serves it live next to net/http/pprof (-pprof).
 //
 // Two invariants shape the design:
 //
@@ -39,7 +40,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    map[string]*spanStat
 }
 
 // NewRegistry returns an empty registry ready for concurrent use.
@@ -48,7 +48,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		spans:    map[string]*spanStat{},
 	}
 }
 
@@ -193,18 +192,6 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.count.Load()
-}
-
-// Mean returns the mean observed duration (0 before any observation).
-func (h *Histogram) Mean() time.Duration {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
 }
 
 // Counter returns (creating on first use) the named counter, or nil on

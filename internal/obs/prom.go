@@ -1,15 +1,15 @@
 package obs
 
 // Prometheus text-exposition rendering of the registry — the scrape
-// seam the planned opmserve daemon grows from (ROADMAP item 1). The
-// mapping from the registry's slash-separated names to Prometheus
-// metric names is mechanical and lossless enough to grep back:
-// "sweep/job_latency" → "opm_sweep_job_latency". Histograms render as
+// seam opmbench -pprof and the opmserve daemon mount. The mapping from
+// the registry's slash-separated names to Prometheus metric names is
+// mechanical and lossless enough to grep back: "sweep/job_latency" →
+// "opm_sweep_job_latency". Histograms, span phases included, render as
 // summaries (quantiles are precomputed from the pow2 buckets, not
 // client-aggregatable histograms — the registry's buckets are
-// process-local and fixed, so the summary form is the honest one) and
-// spans as a pair of totals labelled by path. Output is sorted by
-// metric name, so a finished run renders deterministically.
+// process-local and fixed, so the summary form is the honest one).
+// Output is sorted by metric name, so a finished run renders
+// deterministically.
 
 import (
 	"fmt"
@@ -20,11 +20,18 @@ import (
 )
 
 // promName converts a registry instrument name to a Prometheus metric
-// name: "opm_" prefix, '/' → '_'. Registry names already match
-// [a-z0-9_/]+ (enforced by opmlint counternames), so the result is a
-// valid Prometheus identifier.
+// name: "opm_" prefix, every byte outside [a-zA-Z0-9_] → '_'. Literal
+// names match [a-z0-9_/]+ (opmlint counternames), but annotated
+// dynamic ones embed outside identifiers — experiment IDs such as
+// ext-skylake, opmserve -admit class names — that may not.
 func promName(name string) string {
-	return "opm_" + strings.ReplaceAll(name, "/", "_")
+	b := []byte("opm_" + name)
+	for i, c := range b {
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9') {
+			b[i] = '_'
+		}
+	}
+	return string(b)
 }
 
 // promEscape escapes a label value per the exposition format
@@ -54,9 +61,8 @@ func promHelp(b *strings.Builder, metric, help string) {
 
 // WriteProm renders the registry in Prometheus text exposition format
 // 0.0.4: counters as counters (with the conventional _total suffix),
-// gauges as gauges, histograms as summaries with p50/p95/p99 quantile
-// series in seconds, and span aggregates as two path-labelled counter
-// families. Safe on a nil registry (writes nothing).
+// gauges as gauges, and histograms as summaries with p50/p95/p99
+// quantile series in seconds. Safe on a nil registry (writes nothing).
 func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -100,24 +106,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		fmt.Fprintf(&b, "%s%s %g\n", mn, promLabel("quantile", "0.99"), float64(h.P99NS)/1e9)
 		fmt.Fprintf(&b, "%s_sum %g\n", mn, float64(h.SumNS)/1e9)
 		fmt.Fprintf(&b, "%s_count %d\n", mn, h.Count)
-	}
-
-	if len(s.Spans) > 0 {
-		paths := make([]string, 0, len(s.Spans))
-		for path := range s.Spans {
-			paths = append(paths, path)
-		}
-		sort.Strings(paths)
-		b.WriteString("# TYPE opm_span_seconds_total counter\n")
-		for _, path := range paths {
-			fmt.Fprintf(&b, "opm_span_seconds_total%s %g\n",
-				promLabel("path", path), float64(s.Spans[path].TotalNS)/1e9)
-		}
-		b.WriteString("# TYPE opm_span_invocations_total counter\n")
-		for _, path := range paths {
-			fmt.Fprintf(&b, "opm_span_invocations_total%s %d\n",
-				promLabel("path", path), s.Spans[path].Count)
-		}
 	}
 
 	_, err := io.WriteString(w, b.String())

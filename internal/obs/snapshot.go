@@ -89,8 +89,8 @@ func bucketRangeNS(le, maxNS int64) (lo, hi int64) {
 }
 
 // Snapshot is a consistent-enough point-in-time dump of a registry:
-// counters and gauges by name, histograms with their non-empty
-// buckets, span aggregates, and optionally the run manifest.
+// counters and gauges by name, histograms (span phases included) with
+// their non-empty buckets, and optionally the run manifest.
 // encoding/json renders map keys sorted, so a snapshot of a finished
 // run marshals deterministically given deterministic metric values.
 type Snapshot struct {
@@ -98,7 +98,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans      map[string]SpanSnapshot      `json:"spans,omitempty"`
 }
 
 // Snapshot captures the registry's current state. Safe on a nil
@@ -126,17 +125,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
 		for name, h := range r.hists {
 			s.Histograms[name] = h.snapshot()
-		}
-	}
-	if len(r.spans) > 0 {
-		s.Spans = make(map[string]SpanSnapshot, len(r.spans))
-		for path, st := range r.spans {
-			n, ns := st.count.Load(), st.ns.Load()
-			sp := SpanSnapshot{Count: n, TotalNS: ns}
-			if n > 0 {
-				sp.MeanNS = ns / n
-			}
-			s.Spans[path] = sp
 		}
 	}
 	return s

@@ -4,51 +4,35 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
-// spanStat aggregates every End() of one span path.
-type spanStat struct {
-	count atomic.Int64
-	ns    atomic.Int64
-}
-
-// Span measures the wall time of one phase of a run. Spans are
-// hierarchical by path: "exp/fig9" is the parent of "exp/fig9/sweep",
-// and SpanReport renders the nesting with per-phase shares. Unlike a
-// tracing system, spans here aggregate — ending two spans with the
-// same path accumulates count and total time, which is exactly what a
-// sweep of thousands of identical jobs needs.
+// Span measures the wall time of one phase of a run. A span is a timed
+// observation of the registry histogram named by its path: ending two
+// spans with the same path records two observations, which is exactly
+// what a sweep of thousands of identical jobs needs, and each phase
+// shows up wherever histograms do: the snapshot, the Prometheus
+// summaries and SpanReport.
 type Span struct {
-	reg   *Registry
-	path  string
+	h     *Histogram
 	start time.Time
 }
 
 // StartSpan begins a span at the given slash-separated path. On a nil
-// registry it returns a nil span whose methods all no-op, so phase
-// timing costs nothing when telemetry is off.
+// registry it returns a nil span whose End no-ops, so phase timing
+// costs nothing when telemetry is off.
 func (r *Registry) StartSpan(path string) *Span {
 	if r == nil {
 		return nil
 	}
+	h := r.Histogram(path) //opmlint:allow counternames — forwarding helper: the span path is checked at the StartSpan call site
 	// This is the obs layer's one legitimate clock start: span timing is
 	// reported to operators and dumped in snapshots, and nothing in this
 	// package feeds the deterministic report bytes (see package doc).
-	return &Span{reg: r, path: path, start: time.Now()} //opmlint:allow determinism — span wall time is telemetry output only, never an input to simulated results
+	return &Span{h: h, start: time.Now()} //opmlint:allow determinism — span wall time is telemetry output only, never an input to simulated results
 }
 
-// Child starts a sub-span nested under this span's path. Safe on a
-// nil span (returns nil).
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.reg.StartSpan(s.path + "/" + name) //opmlint:allow counternames — forwarding helper: the child name constant is checked at the Child call site
-}
-
-// End records the span's wall time into its registry and returns it.
+// End observes the span's wall time in its histogram and returns it.
 // Safe on a nil span (returns 0). A span may be ended once; ending it
 // again records a second interval from the same start.
 func (s *Span) End() time.Duration {
@@ -56,72 +40,32 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.start) //opmlint:allow determinism — span wall time is telemetry output only, never an input to simulated results
-	s.reg.mu.RLock()
-	st, ok := s.reg.spans[s.path]
-	s.reg.mu.RUnlock()
-	if !ok {
-		s.reg.mu.Lock()
-		st, ok = s.reg.spans[s.path]
-		if !ok {
-			st = &spanStat{}
-			s.reg.spans[s.path] = st
-		}
-		s.reg.mu.Unlock()
-	}
-	st.count.Add(1)
-	st.ns.Add(int64(d))
+	s.h.Observe(d)
 	return d
 }
 
-// SpanSnapshot is the aggregate of one span path.
-type SpanSnapshot struct {
-	Count   int64 `json:"count"`
-	TotalNS int64 `json:"total_ns"`
-	MeanNS  int64 `json:"mean_ns"`
-}
-
-// SpanReport renders the recorded spans as an indented tree with total
-// time, invocation count, and each span's share of its parent — the
-// per-phase wall-time breakdown of a finished run. Returns "" when no
-// spans were recorded (or on a nil registry).
+// SpanReport renders every registry histogram — span phases and the
+// sweep latencies alike — as a path-sorted table of total time,
+// observation count and mean: the per-phase wall-time breakdown of a
+// finished run. Returns "" when the registry holds no histogram (or is
+// nil).
 func (r *Registry) SpanReport() string {
-	if r == nil {
+	hists := r.Snapshot().Histograms
+	if len(hists) == 0 {
 		return ""
 	}
-	r.mu.RLock()
-	type row struct {
-		path  string
-		count int64
-		ns    int64
+	paths := make([]string, 0, len(hists))
+	for p := range hists {
+		paths = append(paths, p)
 	}
-	rows := make([]row, 0, len(r.spans))
-	for p, st := range r.spans {
-		rows = append(rows, row{p, st.count.Load(), st.ns.Load()})
-	}
-	r.mu.RUnlock()
-	if len(rows) == 0 {
-		return ""
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].path < rows[j].path })
-	total := map[string]int64{}
-	for _, rw := range rows {
-		total[rw.path] = rw.ns
-	}
+	sort.Strings(paths)
 	var b strings.Builder
 	b.WriteString("phase breakdown (wall time):\n")
-	for _, rw := range rows {
-		depth := strings.Count(rw.path, "/")
-		name := rw.path
-		share := ""
-		if i := strings.LastIndex(rw.path, "/"); i >= 0 {
-			name = rw.path[i+1:]
-			if pt, ok := total[rw.path[:i]]; ok && pt > 0 {
-				share = fmt.Sprintf(" (%.0f%% of %s)", 100*float64(rw.ns)/float64(pt), rw.path[:i])
-			}
-		}
-		fmt.Fprintf(&b, "  %s%-24s %10s  ×%d%s\n",
-			strings.Repeat("  ", depth), name,
-			time.Duration(rw.ns).Round(time.Microsecond), rw.count, share)
+	for _, p := range paths {
+		h := hists[p]
+		fmt.Fprintf(&b, "  %-34s %12s  ×%-5d mean %s\n", p,
+			time.Duration(h.SumNS).Round(time.Microsecond), h.Count,
+			time.Duration(h.MeanNS).Round(time.Microsecond))
 	}
 	return b.String()
 }

@@ -6,8 +6,9 @@ package obs
 // exact estimator, then committed to the store). Every sweep job emits
 // a monotonically-timestamped event chain — enqueue, queue wait,
 // dispatch, attempts, retries, breaker decisions, fault fires,
-// estimator choice, validation gate, store lookup/commit — into a
-// bounded in-memory ring and, optionally, an append-only JSONL sink.
+// estimator choice, validation gate, store lookup/commit — as one JSON
+// line per event to the writer the tracer was built with (a -trace
+// file, or the buffer a test reads back with ReadTrace).
 //
 // Three invariants, mirroring the registry's:
 //
@@ -110,129 +111,75 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// DefaultTraceCapacity bounds the in-memory ring when NewTracer is
-// given no explicit capacity: 64k events ≈ a full quick-mode opmbench
-// run with chaos on.
-const DefaultTraceCapacity = 1 << 16
-
-// Tracer records Events into a bounded ring and an optional JSONL
-// sink. All methods are safe for concurrent use and on a nil receiver
-// (the off switch).
+// Tracer writes Events as JSONL to the writer it was built with. All
+// methods are safe for concurrent use and on a nil receiver (the off
+// switch).
 type Tracer struct {
 	epoch time.Time
 
-	mu      sync.Mutex
-	seq     uint64
-	ring    []Event
-	size    int // live events in ring
-	next    int // ring write position
-	dropped uint64
-	sweeps  uint64
-	sink    *bufio.Writer
-	sinkF   *os.File
-	sinkErr error
+	mu     sync.Mutex
+	seq    uint64
+	sweeps uint64
+	sink   *bufio.Writer // nil once closed
+	file   *os.File      // set by CreateTracer; Close closes it
+	err    error         // first sink error; disables the sink
 }
 
-// NewTracer returns a tracer whose ring holds capacity events
-// (capacity <= 0 selects DefaultTraceCapacity). The epoch — the zero
-// point of every TSNS — is the moment of construction.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
+// NewTracer returns a tracer that writes every event as one JSON line
+// to w through a buffer that Flush and Close drain. The caller owns w;
+// a w shared with concurrent readers must guard its own state. The
+// epoch — the zero point of every TSNS — is the moment of construction.
+func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{
 		// The tracer's one epoch read: every event timestamp is a
 		// monotonic delta from here, and nothing downstream of a report
 		// ever reads it.
 		epoch: time.Now(), //opmlint:allow determinism — trace timestamps are telemetry output only, never an input to simulated results
-		ring:  make([]Event, capacity),
+		sink:  bufio.NewWriter(w),
 	}
 }
 
-// SinkTo streams every subsequent event as one JSON line to w (in
-// addition to the ring). The caller owns w's lifetime; use Flush or
-// Close to drain the internal buffer. No-op on a nil tracer.
-func (t *Tracer) SinkTo(w io.Writer) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sink = bufio.NewWriter(w)
-	t.mu.Unlock()
-}
-
-// SinkFile creates (truncating) path and streams every subsequent
-// event to it as JSONL. Close flushes and closes the file.
-func (t *Tracer) SinkFile(path string) error {
-	if t == nil {
-		return fmt.Errorf("obs: SinkFile on nil tracer")
-	}
+// CreateTracer creates (truncating) path and returns a tracer writing
+// to it; Close flushes and closes the file.
+func CreateTracer(path string) (*Tracer, error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("obs: trace sink: %w", err)
+		return nil, fmt.Errorf("obs: trace sink: %w", err)
 	}
-	t.mu.Lock()
-	t.sinkF = f
-	t.sink = bufio.NewWriter(f)
-	t.mu.Unlock()
-	return nil
+	t := NewTracer(f)
+	t.file = f
+	return t, nil
 }
 
 // Emit records one event: trace/job identity, the emitting worker
 // (-1 for none), an optional phase duration, and free-form detail.
 // Timestamp and sequence number are assigned here, under the lock, so
-// Seq order and TSNS order agree. No-op on a nil tracer.
+// Seq order and TSNS order agree. After Close, or once the sink has
+// failed, the event is counted but not written. No-op on a nil tracer.
 func (t *Tracer) Emit(trace, name, job string, worker int, dur time.Duration, detail string) {
 	if t == nil {
 		return
 	}
 	ts := time.Since(t.epoch) //opmlint:allow determinism — trace timestamps are telemetry output only, never an input to simulated results
 	t.mu.Lock()
-	t.seq++
-	ev := Event{Seq: t.seq, TSNS: int64(ts), DurNS: int64(dur),
-		Trace: trace, Name: name, Job: job, Worker: worker, Detail: detail}
-	if t.size == len(t.ring) {
-		t.dropped++
-	} else {
-		t.size++
-	}
-	t.ring[t.next] = ev
-	t.next = (t.next + 1) % len(t.ring)
-	if t.sink != nil && t.sinkErr == nil {
-		data, err := json.Marshal(ev)
-		if err == nil {
-			data = append(data, '\n')
-			_, err = t.sink.Write(data)
-		}
-		// First sink failure sticks and disables the sink: Close
-		// surfaces it, and a broken trace file must never slow or fail
-		// the sweep it was observing.
-		t.sinkErr = err
-	}
-	t.mu.Unlock()
-}
-
-// Events returns the ring's live events, oldest first. The slice is a
-// copy. Empty (not nil-panicking) on a nil tracer.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, t.size)
-	start := t.next - t.size
-	if start < 0 {
-		start += len(t.ring)
+	t.seq++
+	if t.sink == nil || t.err != nil {
+		return
 	}
-	for i := 0; i < t.size; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
+	data, err := json.Marshal(Event{Seq: t.seq, TSNS: int64(ts), DurNS: int64(dur),
+		Trace: trace, Name: name, Job: job, Worker: worker, Detail: detail})
+	if err == nil {
+		_, err = t.sink.Write(append(data, '\n'))
 	}
-	return out
+	// First sink failure sticks and disables the sink: Close surfaces
+	// it, and a broken trace file must never slow or fail the sweep it
+	// was observing.
+	t.err = err
 }
 
-// Emitted returns the total number of events emitted (including any
-// the bounded ring has since dropped). 0 on a nil tracer.
+// Emitted returns the total number of events emitted. 0 on a nil
+// tracer.
 func (t *Tracer) Emitted() uint64 {
 	if t == nil {
 		return 0
@@ -240,17 +187,6 @@ func (t *Tracer) Emitted() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.seq
-}
-
-// Dropped returns how many events the ring overwrote. The JSONL sink,
-// when set, still received them. 0 on a nil tracer.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // NextSweep returns a fresh per-tracer sweep sequence number — the
@@ -267,8 +203,8 @@ func (t *Tracer) NextSweep() uint64 {
 	return t.sweeps
 }
 
-// Flush drains the sink's buffer (if any) and reports the first sink
-// error. Safe on a nil tracer.
+// Flush drains the sink's buffer into its writer and reports the first
+// sink error. Safe on a nil tracer.
 func (t *Tracer) Flush() error {
 	if t == nil {
 		return nil
@@ -280,15 +216,16 @@ func (t *Tracer) Flush() error {
 
 func (t *Tracer) flushLocked() error {
 	if t.sink != nil {
-		if err := t.sink.Flush(); err != nil && t.sinkErr == nil {
-			t.sinkErr = err
+		if err := t.sink.Flush(); err != nil && t.err == nil {
+			t.err = err
 		}
 	}
-	return t.sinkErr
+	return t.err
 }
 
-// Close flushes and closes the sink (if SinkFile opened one) and
-// reports the first error the sink hit. Safe on a nil tracer.
+// Close flushes the sink, closes the file CreateTracer opened, and
+// reports the first error the sink hit; later events are not written.
+// Safe on a nil tracer.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
@@ -296,11 +233,11 @@ func (t *Tracer) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	err := t.flushLocked()
-	if t.sinkF != nil {
-		if cerr := t.sinkF.Close(); err == nil {
+	if t.file != nil {
+		if cerr := t.file.Close(); err == nil {
 			err = cerr
 		}
-		t.sinkF = nil
+		t.file = nil
 	}
 	t.sink = nil
 	return err
@@ -320,7 +257,7 @@ func TraceID(parts ...string) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// ReadTrace decodes a JSONL event stream (the SinkFile format). Blank
+// ReadTrace decodes a JSONL event stream (the Tracer's format). Blank
 // lines are skipped; a malformed line fails the read with its line
 // number.
 func ReadTrace(r io.Reader) ([]Event, error) {
@@ -346,7 +283,7 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// ReadTraceFile loads a JSONL trace written by SinkFile.
+// ReadTraceFile loads a JSONL trace written by CreateTracer.
 func ReadTraceFile(path string) ([]Event, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,14 +18,7 @@ import (
 func TestTracerNilIsOff(t *testing.T) {
 	var tr *Tracer
 	tr.Emit("t", EvDone, "j", 0, 0, "")
-	tr.SinkTo(&bytes.Buffer{})
-	if err := tr.SinkFile(""); err == nil {
-		t.Fatal("SinkFile on nil tracer must error, not silently drop the sink")
-	}
-	if got := tr.Events(); got != nil {
-		t.Fatalf("nil tracer Events = %v, want nil", got)
-	}
-	if tr.Emitted() != 0 || tr.Dropped() != 0 || tr.NextSweep() != 0 {
+	if tr.Emitted() != 0 || tr.NextSweep() != 0 {
 		t.Fatal("nil tracer counters not zero")
 	}
 	if err := tr.Flush(); err != nil {
@@ -39,66 +34,86 @@ func TestTracerNilIsOff(t *testing.T) {
 	TraceEvent(ctx, EvDone, "") // must not panic
 }
 
-// TestTracerRingOrderAndOverflow checks the bounded ring: events come
-// back oldest-first with gapless 1-based Seq, and once full the ring
-// overwrites the oldest event while Dropped and Emitted keep the true
-// totals.
-func TestTracerRingOrderAndOverflow(t *testing.T) {
-	tr := NewTracer(4)
+// readBack flushes tr and decodes everything it has written to buf.
+func readBack(t *testing.T, tr *Tracer, buf *bytes.Buffer) []Event {
+	t.Helper()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := ReadTrace(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// TestTracerSinkOrderAndClose checks the file sink end to end: events
+// come back oldest-first with gapless 1-based Seq and non-decreasing
+// TSNS, and an Emit after Close is counted but writes nothing (and
+// does not panic).
+func TestTracerSinkOrderAndClose(t *testing.T) {
+	if _, err := CreateTracer(filepath.Join(t.TempDir(), "missing", "t.jsonl")); err == nil {
+		t.Fatal("CreateTracer into a missing directory must fail")
+	}
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	tr, err := CreateTracer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
-		tr.Emit("t", EvAttempt, "j", 0, 0, "")
+		tr.Emit("t", EvAttempt, "j", 0, 0, strconv.Itoa(i))
 	}
-	if got := tr.Emitted(); got != 10 {
-		t.Fatalf("Emitted = %d, want 10", got)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if got := tr.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
+	tr.Emit("t", EvDone, "j", 0, 0, "after close")
+	if err := tr.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(evs))
+	if got := tr.Emitted(); got != 11 {
+		t.Fatalf("Emitted = %d, want 11", got)
+	}
+	evs, err := ReadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 10 {
+		t.Fatalf("file holds %d events, want the 10 emitted before Close", len(evs))
 	}
 	for i, ev := range evs {
-		if want := uint64(7 + i); ev.Seq != want {
-			t.Fatalf("event %d Seq = %d, want %d (oldest-first)", i, ev.Seq, want)
+		if ev.Seq != uint64(i+1) || ev.Detail != strconv.Itoa(i) {
+			t.Fatalf("event %d = %+v, want Seq %d (oldest-first)", i, ev, i+1)
 		}
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].TSNS < evs[i-1].TSNS {
-			t.Fatalf("timestamps ran backwards: %d then %d", evs[i-1].TSNS, evs[i].TSNS)
+		if i > 0 && ev.TSNS < evs[i-1].TSNS {
+			t.Fatalf("timestamps ran backwards: %d then %d", evs[i-1].TSNS, ev.TSNS)
 		}
 	}
 }
 
 // TestTracerSinkRoundTrip writes a chain through the JSONL sink and
-// reads it back: every field survives, and the in-memory ring and the
-// sink agree.
+// reads it back: every field survives.
 func TestTracerSinkRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(16)
-	tr.SinkTo(&buf)
+	tr := NewTracer(&buf)
 	tr.Emit("abc", EvEnqueue, "mat/a", -1, 0, "")
 	tr.Emit("abc", EvDispatch, "mat/a", 2, 0, "")
 	tr.Emit("abc", EvRetry, "mat/a", 2, 50*time.Microsecond, "transient")
 	tr.Emit("abc", EvDone, "mat/a", 2, time.Millisecond, "")
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
+	got := readBack(t, tr, &buf)
+	want := []Event{
+		{Seq: 1, Trace: "abc", Name: EvEnqueue, Job: "mat/a", Worker: -1},
+		{Seq: 2, Trace: "abc", Name: EvDispatch, Job: "mat/a", Worker: 2},
+		{Seq: 3, Trace: "abc", Name: EvRetry, Job: "mat/a", Worker: 2, DurNS: int64(50 * time.Microsecond), Detail: "transient"},
+		{Seq: 4, Trace: "abc", Name: EvDone, Job: "mat/a", Worker: 2, DurNS: int64(time.Millisecond)},
 	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tr.Events()
 	if len(got) != len(want) {
-		t.Fatalf("sink replayed %d events, ring holds %d", len(got), len(want))
+		t.Fatalf("sink replayed %d events, want %d", len(got), len(want))
 	}
 	for i := range got {
+		want[i].TSNS = got[i].TSNS
 		if got[i] != want[i] {
-			t.Fatalf("event %d diverged:\nsink %+v\nring %+v", i, got[i], want[i])
+			t.Fatalf("event %d diverged:\ngot  %+v\nwant %+v", i, got[i], want[i])
 		}
-	}
-	if got[2].DurNS != int64(50*time.Microsecond) || got[2].Detail != "transient" {
-		t.Fatalf("retry event lost payload: %+v", got[2])
 	}
 }
 
@@ -112,6 +127,40 @@ not json
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("malformed line 3 not reported: %v", err)
 	}
+}
+
+// FuzzReadTrace holds the trace decoder to two invariants on any
+// input: it never panics, and any stream it accepts, re-encoded with
+// one json.Marshal per line, decodes to equal events. The committed
+// seed corpus covers a valid chain, a blank line, a malformed line and
+// a line over the scanner's 4 MB limit.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		for _, ev := range evs {
+			line, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatalf("re-encoding %+v: %v", ev, err)
+			}
+			buf.Write(append(line, '\n'))
+		}
+		again, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v", err)
+		}
+		if len(again) != len(evs) {
+			t.Fatalf("re-encoded stream holds %d events, want %d", len(again), len(evs))
+		}
+		for i := range evs {
+			if again[i] != evs[i] {
+				t.Fatalf("event %d changed across re-encoding:\n%+v\n%+v", i, evs[i], again[i])
+			}
+		}
+	})
 }
 
 // TestTraceIDStable pins the trace-ID derivation: stable across calls,
@@ -133,14 +182,15 @@ func TestTraceIDStable(t *testing.T) {
 }
 
 // TestTraceContextPlumbing checks the ambient-context path end to end:
-// an event emitted through TraceEventDur lands in the ring carrying the
+// an event emitted through TraceEventDur reaches the sink carrying the
 // bound identity.
 func TestTraceContextPlumbing(t *testing.T) {
-	tr := NewTracer(8)
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
 	ctx := WithTraceContext(context.Background(), tr, "id1", "matrix/x", 3)
 	TraceEvent(ctx, EvEstimator, "twin")
 	TraceEventDur(ctx, EvStoreCommit, 2*time.Millisecond, "")
-	evs := tr.Events()
+	evs := readBack(t, tr, &buf)
 	if len(evs) != 2 {
 		t.Fatalf("emitted %d events, want 2", len(evs))
 	}
@@ -187,9 +237,15 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// promSample is the exposition grammar of one sample line: a metric
+// name, an optional {label="escaped value"} set, and a value.
+var promSample = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"\})? (\S+)$`)
+
 // TestWriteProm checks the exposition rendering: nil-safe, counters
-// get _total, histograms render as summaries with the three quantile
-// series, spans as path-labelled totals, and label values escape.
+// get _total, histograms (span phases included) render as summaries
+// with the three quantile series, and every line parses under the
+// exposition grammar even when a name carries a '-', a quote or a
+// newline — an -admit class, an experiment ID, a hostile path.
 func TestWriteProm(t *testing.T) {
 	var nilReg *Registry
 	var buf bytes.Buffer
@@ -201,8 +257,9 @@ func TestWriteProm(t *testing.T) {
 	r.Counter("sweep/jobs").Add(7)
 	r.Gauge("sweep/workers").Set(4)
 	r.Histogram("sweep/job_latency").Observe(time.Millisecond)
-	sp := r.StartSpan("exp/fig9")
-	sp.End()
+	r.Histogram("serve/latency/my-class").Observe(time.Millisecond)
+	r.StartSpan("exp/ext-skylake").End()
+	r.StartSpan("exp/evil\"path\n2").End()
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -216,39 +273,33 @@ func TestWriteProm(t *testing.T) {
 		`opm_sweep_job_latency_seconds{quantile="0.95"}`,
 		`opm_sweep_job_latency_seconds{quantile="0.99"}`,
 		"opm_sweep_job_latency_seconds_count 1\n",
-		`opm_span_seconds_total{path="exp/fig9"}`,
-		`opm_span_invocations_total{path="exp/fig9"} 1`,
+		"opm_serve_latency_my_class_seconds_count 1\n",
+		"opm_exp_ext_skylake_seconds_count 1\n",
+		"opm_exp_evil_path_2_seconds_count 1\n",
+		"# HELP opm_exp_evil_path_2_seconds latency summary of registry histogram exp/evil\"path\\n2 ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	// Every non-comment line must be "name{labels} value" with a parseable value.
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
+		if rest, ok := strings.CutPrefix(line, "# "); ok {
+			f := strings.SplitN(rest, " ", 3)
+			if len(f) < 3 || (f[0] != "HELP" && f[0] != "TYPE") || !promSample.MatchString(f[1]+" 0") {
+				t.Fatalf("malformed comment line %q", line)
+			}
 			continue
 		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("unparseable exposition line %q", line)
+		m := promSample.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("sample line %q breaks the exposition grammar", line)
 		}
-		if _, err := strconv.ParseFloat(line[i+1:], 64); err != nil {
-			t.Fatalf("line %q value %q not numeric: %v", line, line[i+1:], err)
+		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
+			t.Fatalf("line %q value %q not numeric: %v", line, m[3], err)
 		}
 	}
 	if promEscape("a\"b\\c\nd") != `a\"b\\c\nd` {
 		t.Fatalf("promEscape wrong: %q", promEscape("a\"b\\c\nd"))
-	}
-	// Label values escape structurally — a hostile span path cannot
-	// break the line format.
-	hostile := NewRegistry()
-	hostile.StartSpan("exp/evil\"path\n2").End()
-	buf.Reset()
-	if err := hostile.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if want := `opm_span_invocations_total{path="exp/evil\"path\n2"} 1`; !strings.Contains(buf.String(), want) {
-		t.Fatalf("hostile label not escaped, want %q in:\n%s", want, buf.String())
 	}
 }
 

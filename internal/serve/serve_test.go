@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,11 +50,46 @@ func decodeQuery(t *testing.T, w *httptest.ResponseRecorder) *QueryResponse {
 	return &resp
 }
 
+// syncBuffer is a mutex-guarded trace sink: the daemon's background
+// refinements may still be emitting while a test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// newTracer returns a tracer writing to a syncBuffer, and a func that
+// flushes it and decodes every complete line written so far.
+func newTracer(t *testing.T) (*obs.Tracer, func() []obs.Event) {
+	sink := &syncBuffer{}
+	tr := obs.NewTracer(sink)
+	return tr, func() []obs.Event {
+		t.Helper()
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sink.mu.Lock()
+		data := bytes.Clone(sink.buf.Bytes())
+		sink.mu.Unlock()
+		// An emit racing this read may have flushed part of a line.
+		evs, err := obs.ReadTrace(bytes.NewReader(data[:bytes.LastIndexByte(data, '\n')+1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+}
+
 // traceNames returns the event-name multiset of one trace chain, seen
 // after a seq watermark.
-func traceNames(tr *obs.Tracer, trace string, afterSeq uint64) map[string]int {
+func traceNames(events []obs.Event, trace string, afterSeq uint64) map[string]int {
 	names := map[string]int{}
-	for _, ev := range tr.Events() {
+	for _, ev := range events {
 		if ev.Trace == trace && ev.Seq > afterSeq {
 			names[ev.Name]++
 		}
@@ -61,9 +97,9 @@ func traceNames(tr *obs.Tracer, trace string, afterSeq uint64) map[string]int {
 	return names
 }
 
-func maxSeq(tr *obs.Tracer) uint64 {
+func maxSeq(events []obs.Event) uint64 {
 	var max uint64
-	for _, ev := range tr.Events() {
+	for _, ev := range events {
 		if ev.Seq > max {
 			max = ev.Seq
 		}
@@ -80,7 +116,7 @@ func maxSeq(tr *obs.Tracer) uint64 {
 // same bytes as a store hit without computing.
 func TestServeColdThenHotThenStore(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(0)
+	tr, events := newTracer(t)
 	st, err := store.Open(t.TempDir(), reg)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +179,7 @@ func TestServeColdThenHotThenStore(t *testing.T) {
 
 	// The cold chain has the canonical batch shape plus the serve
 	// prologue — opmprof reads it natively.
-	coldNames := traceNames(tr, r1.Trace, 0)
+	coldNames := traceNames(events(), r1.Trace, 0)
 	for _, ev := range []string{obs.EvServeRecv, obs.EvAdmit, obs.EvEnqueue, obs.EvDispatch,
 		obs.EvStoreCommit, obs.EvDone} {
 		if coldNames[ev] == 0 {
@@ -153,7 +189,7 @@ func TestServeColdThenHotThenStore(t *testing.T) {
 
 	// Acceptance (a): the repeat is a hot-set hit that bypasses the
 	// journal and the pool. Counters and the trace chain both show it.
-	watermark := maxSeq(tr)
+	watermark := maxSeq(events())
 	storeBefore := st.Stats()
 	r2 := decodeQuery(t, postQuery(t, h, "/v1/query", q))
 	if r2.Source != "hot" {
@@ -168,7 +204,7 @@ func TestServeColdThenHotThenStore(t *testing.T) {
 	if after := st.Stats(); after.Hits != storeBefore.Hits || after.Misses != storeBefore.Misses {
 		t.Fatalf("hot hit touched the journal: %+v → %+v", storeBefore, after)
 	}
-	hotNames := traceNames(tr, r2.Trace, watermark)
+	hotNames := traceNames(events(), r2.Trace, watermark)
 	if hotNames[obs.EvServeRecv] != 1 || hotNames[obs.EvServeHot] != 1 || len(hotNames) != 2 {
 		t.Fatalf("hot chain = %v, want exactly {serve/recv, serve/hot_hit}", hotNames)
 	}
@@ -176,7 +212,7 @@ func TestServeColdThenHotThenStore(t *testing.T) {
 	// A fresh daemon over the same journal answers from the store
 	// (promoting into its hot set) without computing.
 	reg2 := obs.NewRegistry()
-	tr2 := obs.NewTracer(0)
+	tr2, events2 := newTracer(t)
 	srv2, err := New(Config{Store: st, Registry: reg2, Tracer: tr2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +221,7 @@ func TestServeColdThenHotThenStore(t *testing.T) {
 	if r3.Source != "store" || !bytes.Equal(r3.Cell, r1.Cell) {
 		t.Fatalf("fresh daemon source %q, want store hit with identical bytes", r3.Source)
 	}
-	storeNames := traceNames(tr2, r3.Trace, 0)
+	storeNames := traceNames(events2(), r3.Trace, 0)
 	if storeNames[obs.EvEnqueue] != 0 || storeNames[obs.EvDispatch] != 0 {
 		t.Fatalf("store hit reached the pool: %v", storeNames)
 	}
@@ -354,7 +390,7 @@ func TestServeGracefulDrainLosesNothing(t *testing.T) {
 // digest serves the exact value, refined.
 func TestServeTwinFirstRefines(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(0)
+	tr, events := newTracer(t)
 	st, err := store.Open(t.TempDir(), reg)
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +463,7 @@ func TestServeTwinFirstRefines(t *testing.T) {
 	if !bytes.Equal(r2.Cell, exactRaw) {
 		t.Fatal("post-refinement answer differs from the journaled exact cell")
 	}
-	if names := traceNames(tr, r1.Trace, 0); names[obs.EvRefine] != 1 {
+	if names := traceNames(events(), r1.Trace, 0); names[obs.EvRefine] != 1 {
 		t.Fatalf("refinement chain missing %s: %v", obs.EvRefine, names)
 	}
 }

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -156,15 +157,23 @@ func TestShardTraceChain(t *testing.T) {
 	}
 	spec := shard.Spec{Platform: "broadwell", Kernels: []string{"Stream"}, Points: 6, Estimator: "twin"}
 	dir := t.TempDir()
-	tr := obs.NewTracer(4096)
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
 	opt := fastOpts(spec, dir, "seed=7,proc:kill@0.5")
 	opt.Trace = tr
 	rep, err := shard.Run(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	counts := map[string]int{}
-	for _, ev := range tr.Events() {
+	for _, ev := range events {
 		counts[ev.Name]++
 	}
 	if counts[obs.EvShardAssign] != opt.Shards {

@@ -47,13 +47,17 @@ go run ./cmd/opmcalib -check
 echo "== go test -race $pkgs"
 go test -race -timeout 60m $pkgs
 
-# The cache models' fuzz targets: each decodes a geometry and an
-# operation stream and requires the cache to match its reference
-# implementation (internal/cache/ref_test.go) after every operation.
-# Plain `go test` above replays only the committed seed corpus.
-for target in FuzzSetAssoc FuzzDirectMapped; do
-	echo "== go test -fuzz $target (10s)"
-	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/cache
+# The fuzz targets. The cache models' decode a geometry and an
+# operation stream and require the cache to match its reference
+# implementation (internal/cache/ref_test.go) after every operation;
+# FuzzReadTrace holds the trace decoder to never panicking and to
+# re-encoding every stream it accepts into equal events. Plain
+# `go test` above replays only the committed seed corpora.
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace; do
+	pkg="./${target%%:*}"
+	fn="${target#*:}"
+	echo "== go test -fuzz $fn $pkg (10s)"
+	go test -run '^$' -fuzz "^$fn\$" -fuzztime 10s "$pkg"
 done
 
 # The store's crash-safety claims rest on its locking discipline; run
