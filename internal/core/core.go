@@ -153,6 +153,11 @@ func (m *Machine) RunOn(sim *memsim.Sim, w trace.Workload) (memsim.Result, error
 	}
 	sim.Reset()
 	w.Simulate(sim)
+	return m.evaluate(sim, w)
+}
+
+// evaluate applies the timing model to the traffic sim counted for w.
+func (m *Machine) evaluate(sim *memsim.Sim, w trace.Workload) (memsim.Result, error) {
 	props, err := m.WorkloadProps(w)
 	if err != nil {
 		return memsim.Result{}, err
@@ -161,9 +166,11 @@ func (m *Machine) RunOn(sim *memsim.Sim, w trace.Workload) (memsim.Result, error
 }
 
 // PooledSim returns the sweep worker's reusable simulator for this
-// machine's configuration, building it on first use. Paired with
-// RunOn's Reset, one simulator per (worker, configuration) serves an
-// entire sweep without re-allocating cache arrays per cell.
+// machine's configuration, building it on first use. Paired with the
+// Reset of RunOn or memsim.Fanout, one simulator per (worker,
+// configuration) serves an entire sweep without re-allocating cache
+// arrays per cell; after Exact.EstimateMachines it holds that machine's
+// counts for the cell.
 func (m *Machine) PooledSim(w *sweep.Worker) (*memsim.Sim, error) {
 	v, err := w.Get(m.cfg, func() (any, error) { return memsim.NewSim(m.cfg) })
 	if err != nil {

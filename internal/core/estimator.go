@@ -38,6 +38,12 @@ type Estimator interface {
 	// cell to the fault injector and the quarantine record. Every
 	// implementation must pass its result through the validation gate.
 	EstimateCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, m *Machine, wl trace.Workload, key string) (memsim.Result, error)
+	// EstimateMachines evaluates one trace cell on every machine of ms,
+	// each under its own key(m), with the trace events, fault points
+	// and gates of one EstimateCell per machine in order. It returns one
+	// result per machine; on failure it returns the results of the
+	// machines before the failing one, so ms[len(results)] names it.
+	EstimateMachines(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, ms []*Machine, wl trace.Workload, key func(*Machine) string) ([]memsim.Result, error)
 	// EstimateDense evaluates one analytic dense-model cell.
 	EstimateDense(ctx context.Context, eng *sweep.Engine, j DenseJob, key string) (memsim.Result, error)
 }
@@ -47,11 +53,10 @@ type Estimator interface {
 // the default wherever an Estimator is optional.
 var Exact Estimator = ExactEstimator{}
 
-// ExactEstimator wraps the existing per-access simulation path behind
-// the Estimator interface. It is byte-identical to the pre-interface
-// direct path (RunCell / RunDense + gate) — proven by the regression
-// tests — and keeps the historical store-digest layout, so warm stores
-// written before the refactor stay valid.
+// ExactEstimator wraps the per-access simulation path behind the
+// Estimator interface. Its results equal Machine.Run and RunDense plus
+// the gate — proven by the regression tests — and it keeps the
+// historical store-digest layout, so warm stores stay valid.
 type ExactEstimator struct{}
 
 // Mode returns "exact".
@@ -61,11 +66,13 @@ func (ExactEstimator) Mode() string { return "exact" }
 // digest scheme has always named.
 func (ExactEstimator) Version() string { return ModelVersion }
 
-// EstimateCell runs the gated simulation path: pooled simulator,
-// simulate + evaluate, result-corruption injection, invariant gate.
-func (ExactEstimator) EstimateCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, m *Machine, wl trace.Workload, key string) (memsim.Result, error) {
-	obs.TraceEvent(ctx, obs.EvEstimator, "exact")
-	return m.RunCell(ctx, eng, w, wl, key)
+// EstimateCell is EstimateMachines on one machine.
+func (e ExactEstimator) EstimateCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, m *Machine, wl trace.Workload, key string) (memsim.Result, error) {
+	rs, err := e.EstimateMachines(ctx, eng, w, []*Machine{m}, wl, func(*Machine) string { return key })
+	if err != nil {
+		return memsim.Result{}, err
+	}
+	return rs[0], nil
 }
 
 // EstimateDense evaluates the analytic dense model and applies the

@@ -39,43 +39,60 @@ func InjectResult(ctx context.Context, inj *faultinject.Injector, key string, r 
 	}
 }
 
-// RunCell is the gated version of RunOn for sweep workers: pooled
-// simulator, simulate + evaluate, result-corruption injection, then the
-// invariant gate. On a model error the worker's pooled simulator is
-// evicted (it may be inconsistent); on a gate violation the result is
-// quarantined. On success the simulator's counters are recorded into
-// reg. key identifies the cell to the injector and the quarantine
-// record; eng supplies the injector (eng and its fields may be nil).
-func (m *Machine) RunCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, wl trace.Workload, key string) (memsim.Result, error) {
+// EstimateMachines runs the gated simulation path for a machine set:
+// the worker's pooled simulators, one memsim.Fanout of the workload
+// over all of them (L1 and L2 simulated once per on-chip geometry), then
+// per machine in order the estimator event, evaluation, result-
+// corruption injection under key(m) and the invariant gate. On a model
+// error the machine's pooled simulator is evicted (it may be
+// inconsistent); on a gate violation the result is quarantined. Each
+// machine that passes records its simulator's counters into eng.Obs.
+// eng and its fields may be nil, and so may w (simulators are then
+// built per call).
+func (ExactEstimator) EstimateMachines(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, ms []*Machine, wl trace.Workload, key func(*Machine) string) ([]memsim.Result, error) {
 	var inj *faultinject.Injector
 	var reg *obs.Registry
 	if eng != nil {
 		inj, reg = eng.Inject, eng.Obs
 	}
-	sim, err := m.PooledSim(w)
-	if err != nil {
-		return memsim.Result{}, err
+	sims := make([]*memsim.Sim, 0, len(ms))
+	var simErr error
+	for _, m := range ms {
+		sim, err := m.PooledSim(w)
+		if err != nil {
+			simErr = err
+			break
+		}
+		sims = append(sims, sim)
 	}
-	r, err := m.RunOn(sim, wl)
-	if err != nil {
-		w.Drop(m.cfg)
-		return memsim.Result{}, fmt.Errorf("core: %s on %s: %w", wl.Name(), m.Label(), err)
+	memsim.Fanout(sims, wl.Simulate)
+	out := make([]memsim.Result, 0, len(ms))
+	for i, sim := range sims {
+		m := ms[i]
+		obs.TraceEvent(ctx, obs.EvEstimator, "exact")
+		r, err := m.evaluate(sim, wl)
+		if err != nil {
+			w.Drop(m.cfg)
+			return out, fmt.Errorf("core: %s on %s: %w", wl.Name(), m.Label(), err)
+		}
+		k := key(m)
+		InjectResult(ctx, inj, k, &r)
+		if verr := sim.CheckInvariants(); verr != nil {
+			// A failed simulator invariant means the pooled state itself
+			// is suspect: evict it so the retry rebuilds cold.
+			w.Drop(m.cfg)
+			obs.TraceEvent(ctx, obs.EvGate, "quarantine")
+			return out, resilience.Quarantine(k, verr)
+		}
+		if verr := r.Validate(); verr != nil {
+			obs.TraceEvent(ctx, obs.EvGate, "quarantine")
+			return out, resilience.Quarantine(k, verr)
+		}
+		obs.TraceEvent(ctx, obs.EvGate, "ok")
+		sim.RecordMetrics(reg)
+		out = append(out, r)
 	}
-	InjectResult(ctx, inj, key, &r)
-	if verr := sim.CheckInvariants(); verr != nil {
-		// A failed simulator invariant means the pooled state itself is
-		// suspect: evict it so the retry rebuilds cold.
-		w.Drop(m.cfg)
-		obs.TraceEvent(ctx, obs.EvGate, "quarantine")
-		return memsim.Result{}, resilience.Quarantine(key, verr)
-	}
-	if verr := r.Validate(); verr != nil {
-		obs.TraceEvent(ctx, obs.EvGate, "quarantine")
-		return memsim.Result{}, resilience.Quarantine(key, verr)
-	}
-	obs.TraceEvent(ctx, obs.EvGate, "ok")
-	sim.RecordMetrics(reg)
-	return r, nil
+	return out, simErr
 }
 
 // GateResult applies the result gate to one cell whose simulator is

@@ -131,23 +131,27 @@ func (s *CurveSpec) Workload(kernel string, fp int64) (trace.Workload, error) {
 }
 
 // ComputeCell evaluates one curve cell — every mode of the machine set
-// at one footprint — through est. This is the exact per-job body the
-// curve figures run under sweep.MapCached, factored out so the serve
-// daemon's cold path produces byte-identical cells.
+// at one footprint — through one est.EstimateMachines call, which the
+// exact estimator serves with one L1/L2 pass. This is the per-job body
+// the curve figures run under sweep.MapCached, factored out so the
+// serve daemon's cold path produces byte-identical cells.
 func (s *CurveSpec) ComputeCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, est core.Estimator, kernel string, fp int64) (CurvePoint, error) {
 	wl, err := s.Workload(kernel, fp)
 	if err != nil {
 		return CurvePoint{}, err
 	}
+	rs, err := est.EstimateMachines(ctx, eng, w, s.Machines, wl, func(m *core.Machine) string {
+		return fmt.Sprintf("%s|fp=%d|%s", kernel, fp, m.Label())
+	})
+	if err != nil {
+		return CurvePoint{}, fmt.Errorf("%s at %d MB on %s: %w", kernel, fp>>20, s.Machines[len(rs)].Label(), err)
+	}
 	pt := CurvePoint{
 		GFlops: map[memsim.Mode]float64{},
 		GBs:    map[memsim.Mode]float64{},
 	}
-	for _, mach := range s.Machines {
-		r, err := est.EstimateCell(ctx, eng, w, mach, wl, fmt.Sprintf("%s|fp=%d|%s", kernel, fp, mach.Label()))
-		if err != nil {
-			return CurvePoint{}, fmt.Errorf("%s at %d MB on %s: %w", kernel, fp>>20, mach.Label(), err)
-		}
+	for i, mach := range s.Machines {
+		r := rs[i]
 		pt.GFlops[mach.Mode] = r.GFlops
 		// App-level bandwidth by the paper's byte accounting:
 		// bytes = flops / AI, AI = flops/bytes of Table 2.

@@ -79,18 +79,15 @@ func runExtSkylake(ctx context.Context, opt Options) (*Report, error) {
 		func(ctx context.Context, sw *sweep.Worker, fp int64) (arrangementGBs, error) {
 			w := trace.NewStream(brd.ScaledBytes(fp))
 			appB := 32.0 / 2.0 * w.Flops()
-			var t arrangementGBs
-			for _, leg := range []struct {
-				m   *core.Machine
-				out *float64
-			}{{mDDR, &t.DDR}, {mBrd, &t.Victim}, {mSky, &t.MemSide}} {
-				r, err := opt.estimator().EstimateCell(ctx, eng, sw, leg.m, w, fmt.Sprintf("triad|fp=%d|%s", fp, leg.m.Label()))
-				if err != nil {
-					return arrangementGBs{}, fmt.Errorf("triad at %d MB on %s: %w", fp>>20, leg.m.Label(), err)
-				}
-				*leg.out = appB / r.Seconds / 1e9
+			legs := []*core.Machine{mDDR, mBrd, mSky}
+			rs, err := opt.estimator().EstimateMachines(ctx, eng, sw, legs, w, func(m *core.Machine) string {
+				return fmt.Sprintf("triad|fp=%d|%s", fp, m.Label())
+			})
+			if err != nil {
+				return arrangementGBs{}, fmt.Errorf("triad at %d MB on %s: %w", fp>>20, legs[len(rs)].Label(), err)
 			}
-			return t, nil
+			gbs := func(r memsim.Result) float64 { return appB / r.Seconds / 1e9 }
+			return arrangementGBs{DDR: gbs(rs[0]), Victim: gbs(rs[1]), MemSide: gbs(rs[2])}, nil
 		})
 	if err != nil {
 		return nil, err

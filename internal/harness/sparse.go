@@ -65,11 +65,12 @@ type sparsePoint struct {
 var sparseJobHook func(sparse.Spec) error
 
 // runSparse sweeps the suite over all modes of a platform on the sweep
-// engine: one job per matrix, each job driving every mode through its
-// worker's pooled simulators. A failing matrix is dropped from the
-// sweep (returned in errs) instead of killing it; only cancellation or
-// systematic failure aborts. Each finished job snapshots its
-// simulators' per-level counters into opt.Obs.
+// engine: one job per matrix, each job driving every mode through one
+// EstimateMachines call on its worker's pooled simulators. A failing
+// matrix is dropped from the sweep (returned in errs) instead of
+// killing it; only cancellation or systematic failure aborts. Each
+// finished job snapshots its simulators' per-level counters into
+// opt.Obs.
 func runSparse(ctx context.Context, platName, kernel string, opt Options) ([]sparsePoint, []*core.Machine, sweep.Errors, error) {
 	base, opms, plat, err := machineSet(platName)
 	if err != nil {
@@ -103,6 +104,14 @@ func runSparse(ctx context.Context, platName, kernel string, opt Options) ([]spa
 			if err != nil {
 				return sparsePoint{}, err
 			}
+			// Every mode's cell runs through the result gate: inject,
+			// validate, quarantine on violation.
+			rs, err := opt.estimator().EstimateMachines(ctx, eng, w, machines, wl, func(mach *core.Machine) string {
+				return spec.Name + "|" + mach.Label()
+			})
+			if err != nil {
+				return sparsePoint{}, fmt.Errorf("%s on %s: %w", spec.Name, machines[len(rs)].Label(), err)
+			}
 			pt := sparsePoint{
 				Spec: spec,
 				Rows: m.Rows,
@@ -112,15 +121,9 @@ func runSparse(ctx context.Context, platName, kernel string, opt Options) ([]spa
 				Footprint: 0,
 				GFlops:    map[memsim.Mode]float64{},
 			}
-			for _, mach := range machines {
-				// Every mode's cell runs through the result gate: inject,
-				// validate, quarantine on violation.
-				r, err := opt.estimator().EstimateCell(ctx, eng, w, mach, wl, spec.Name+"|"+mach.Label())
-				if err != nil {
-					return sparsePoint{}, fmt.Errorf("%s on %s: %w", spec.Name, mach.Label(), err)
-				}
-				pt.GFlops[mach.Mode] = r.GFlops
-				pt.Footprint = r.FootprintBytes
+			for i, mach := range machines {
+				pt.GFlops[mach.Mode] = rs[i].GFlops
+				pt.Footprint = rs[i].FootprintBytes
 			}
 			return pt, nil
 		})

@@ -125,14 +125,13 @@ func curveCells(ctx context.Context, plat *platform.Platform, machines []*core.M
 			case "FFT":
 				wl = trace.NewFFT(simFP)
 			}
-			for _, m := range machines {
-				label := fmt.Sprintf("%s|fp=%d|%s", kernel, fp, m.Label())
-				cell, err := calibrateCell(ctx, m, wl, label)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, cell)
+			c, err := calibrateCells(ctx, machines, wl, func(m *core.Machine) string {
+				return fmt.Sprintf("%s|fp=%d|%s", kernel, fp, m.Label())
+			})
+			if err != nil {
+				return nil, err
 			}
+			cells = append(cells, c...)
 		}
 	}
 	return cells, nil
@@ -163,14 +162,13 @@ func sparseCells(ctx context.Context, plat *platform.Platform, machines []*core.
 				}
 				wl = w
 			}
-			for _, m := range machines {
-				label := fmt.Sprintf("%s|%s|%s", kernel, spec.Name, m.Label())
-				cell, err := calibrateCell(ctx, m, wl, label)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, cell)
+			c, err := calibrateCells(ctx, machines, wl, func(m *core.Machine) string {
+				return fmt.Sprintf("%s|%s|%s", kernel, spec.Name, m.Label())
+			})
+			if err != nil {
+				return nil, err
 			}
+			cells = append(cells, c...)
 		}
 	}
 	return cells, nil
@@ -214,18 +212,24 @@ func denseCells(ctx context.Context, machines []*core.Machine, full bool) ([]Cel
 	return cells, nil
 }
 
-// calibrateCell runs one trace cell through both estimators.
-func calibrateCell(ctx context.Context, m *core.Machine, wl trace.Workload, label string) (Cell, error) {
-	exact, err := m.Run(wl)
+// calibrateCells runs one trace cell through both estimators on every
+// machine, labelled per machine: the exact side is one EstimateMachines
+// call.
+func calibrateCells(ctx context.Context, machines []*core.Machine, wl trace.Workload, label func(*core.Machine) string) ([]Cell, error) {
+	exact, err := core.Exact.EstimateMachines(ctx, nil, nil, machines, wl, label)
 	if err != nil {
-		return Cell{}, fmt.Errorf("calib: exact %s: %w", label, err)
+		return nil, fmt.Errorf("calib: exact %s: %w", label(machines[len(exact)]), err)
 	}
 	var tw twin.Estimator
-	pred, err := tw.EstimateCell(ctx, nil, nil, m, wl, label)
-	if err != nil {
-		return Cell{}, fmt.Errorf("calib: twin %s: %w", label, err)
+	cells := make([]Cell, len(machines))
+	for i, m := range machines {
+		pred, err := tw.EstimateCell(ctx, nil, nil, m, wl, label(m))
+		if err != nil {
+			return nil, fmt.Errorf("calib: twin %s: %w", label(m), err)
+		}
+		cells[i] = Cell{Family: twin.Family(wl.Name()), Label: label(m), Exact: exact[i].GFlops, Twin: pred.GFlops}
 	}
-	return Cell{Family: twin.Family(wl.Name()), Label: label, Exact: exact.GFlops, Twin: pred.GFlops}, nil
+	return cells, nil
 }
 
 // reduce folds cells into the per-family report.

@@ -85,6 +85,20 @@ func (e *Escalating) EstimateCell(ctx context.Context, eng *sweep.Engine, w *swe
 	return e.exact.EstimateCell(ctx, eng, w, m, wl, key)
 }
 
+// EstimateMachines routes a whole cell once by its kernel family; an
+// escalation counts once per machine under twin/escalations and emits
+// one estimator/escalate event.
+func (e *Escalating) EstimateMachines(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, ms []*core.Machine, wl trace.Workload, key func(*core.Machine) string) ([]memsim.Result, error) {
+	fam := Family(wl.Name())
+	e.gauge(eng, fam)
+	if e.serveTwin(fam) {
+		return e.twin.EstimateMachines(ctx, eng, w, ms, wl, key)
+	}
+	registry(eng).Counter("twin/escalations").Add(int64(len(ms)))
+	obs.TraceEvent(ctx, obs.EvEscalate, fam)
+	return e.exact.EstimateMachines(ctx, eng, w, ms, wl, key)
+}
+
 // EstimateDense routes one dense cell by its kernel family.
 func (e *Escalating) EstimateDense(ctx context.Context, eng *sweep.Engine, j core.DenseJob, key string) (memsim.Result, error) {
 	fam := Family(j.Kind.String())

@@ -65,6 +65,19 @@ func (Estimator) EstimateCell(ctx context.Context, eng *sweep.Engine, _ *sweep.W
 	return r, nil
 }
 
+// EstimateMachines predicts the cell on each machine in turn.
+func (e Estimator) EstimateMachines(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, ms []*core.Machine, wl trace.Workload, key func(*core.Machine) string) ([]memsim.Result, error) {
+	out := make([]memsim.Result, 0, len(ms))
+	for _, m := range ms {
+		r, err := e.EstimateCell(ctx, eng, w, m, wl, key(m))
+		if err != nil {
+			return out, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
 // EstimateDense predicts one paper-scale dense cell from the twin's
 // tile-reuse law over the unscaled configuration, with the same
 // efficiency derating (tiling + strong-scaling) as the exact path.

@@ -3,8 +3,8 @@
 #
 # Runs the fixed benchmark roster (sweep-engine overheads, the cache
 # models' lookups and reset, the memory simulator's streaming hot loop,
-# twin-vs-exact, store warm/cold, and the obs registry/tracer overhead
-# guards) through `go test -bench -json`, extracts every "<name> ns/op"
+# one KNL curve cell across its four modes, twin-vs-exact, store
+# warm/cold, and the obs registry/tracer overhead guards) through `go test -bench -json`, extracts every "<name> ns/op"
 # result from the test2json stream, and writes the sorted {benchmark:
 # ns_per_op} map to BENCH_sweep.json.
 #
@@ -62,6 +62,7 @@ bench() { # package regex benchtime
 bench ./internal/sweep  'BenchmarkMap(DisabledResilience|IdleResilience|NilInjector)$' 100x
 bench ./internal/cache  'Benchmark(SetAssocAccess|DirectMappedAccess|DirectMappedReset)$' 1s
 bench ./internal/memsim 'BenchmarkSimStreamingAccess$' 1s
+bench ./internal/harness 'BenchmarkCurveCellKNL$' 20x
 bench ./internal/twin   'BenchmarkTwinVsExact$' 1x
 bench .                 'BenchmarkObsOverhead$' 1x
 bench .                 'BenchmarkTraceOverhead$' 1x

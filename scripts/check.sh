@@ -51,9 +51,12 @@ go test -race -timeout 60m $pkgs
 # operation stream and require the cache to match its reference
 # implementation (internal/cache/ref_test.go) after every operation;
 # FuzzReadTrace holds the trace decoder to never panicking and to
-# re-encoding every stream it accepts into equal events. Plain
-# `go test` above replays only the committed seed corpora.
-for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace; do
+# re-encoding every stream it accepts into equal events; FuzzFanout
+# requires memsim.Fanout to leave every sim as a lone run would, and a
+# sim to detach exactly when its buffer bases are not congruent to its
+# front's. Plain `go test` above replays only the committed seed
+# corpora.
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout; do
 	pkg="./${target%%:*}"
 	fn="${target#*:}"
 	echo "== go test -fuzz $fn $pkg (10s)"
