@@ -1,6 +1,6 @@
 # Convenience targets; see scripts/check.sh for the full gate.
 
-.PHONY: build test lint check calib calib-baseline chaos shard-chaos bench bench-obs bench-store bench-resilience bench-twin bench-json bench-baseline bench-trace bench-serve bench-shard profile serve
+.PHONY: build test lint check calib calib-baseline chaos bench bench-obs bench-store bench-resilience bench-twin bench-json bench-baseline bench-trace bench-serve profile serve
 
 build:
 	go build ./...
@@ -90,19 +90,6 @@ serve:
 # resolve, LRU hit, render, encode) must stay sub-millisecond.
 bench-serve:
 	go test -bench=BenchmarkServeHotPath -benchtime=1s -run=^$$ ./internal/serve
-
-# Process-chaos suite: sharded sweeps with injected worker kill -9,
-# hangs, torn shard-journal tails and coordinator crash+resume — the
-# merged store must stay byte-identical to a sequential run. Spawns
-# real worker processes (the re-exec'd test binary), so it is excluded
-# from the -short quick tier.
-shard-chaos:
-	go test -race -count=1 ./internal/shard
-
-# Merge-path guard: scanning 4 shard journals of 250 cells each and
-# writing the canonical store — the coordinator's serial tail.
-bench-shard:
-	go test -bench=BenchmarkShardMerge -benchtime=5x -run=^$$ ./internal/shard
 
 # Profile a short dense sweep with live pprof plus a CPU profile and a
 # metrics dump under prof/. Inspect with: go tool pprof prof/opmbench.cpu

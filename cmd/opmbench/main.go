@@ -54,8 +54,9 @@ import (
 func main() { os.Exit(run()) }
 
 // run is main with working defers, so profiles and metrics dumps are
-// flushed on every exit path.
-func run() int {
+// flushed on every exit path. A -store that fails to close fails the
+// run, so a script that chains -store and -resume sees the failure.
+func run() (code int) {
 	var (
 		exp      = flag.String("exp", "", "experiment ID (see -list), or \"all\"")
 		full     = flag.Bool("full", false, "run the paper's complete sweeps (968 matrices, fine grids)")
@@ -71,7 +72,7 @@ func run() int {
 		retries    = flag.Int("retries", 0, "retry transient sweep-job failures up to this many extra attempts (capped exponential backoff, seeded jitter)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-attempt deadline for one sweep job (0 = none); an attempt that exceeds it fails retryably and counts toward -retries, while -timeout still bounds the whole run")
 		breaker    = flag.Int("breaker", 0, "trip a per-sweep circuit breaker after this many consecutive dropped jobs, failing the sweep's remaining jobs fast (0 = off)")
-		faults     = flag.String("faults", "", "chaos fault-injection spec, e.g. \"seed=7,job:transient@0.1,store:torn@0.5\" (points here: job, result, store; kinds: transient, permanent, panic, delay, corrupt, torn; the proc/coord points are opmshard's — see README fault grammar)")
+		faults     = flag.String("faults", "", "chaos fault-injection spec, e.g. \"seed=7,job:transient@0.1,store:torn@0.5\" (points: job, result, store; kinds: transient, permanent, panic, delay, corrupt, torn; see README fault grammar)")
 
 		estimator  = flag.String("estimator", "exact", "result estimator: exact (per-access simulation), twin (calibrated analytic model), or auto (twin where calibrated error permits, exact elsewhere)")
 		twinMaxErr = flag.Float64("twin-max-err", 0.10, "with -estimator=auto: serve the twin only for kernel families whose calibrated error bound is at most this fraction")
@@ -254,6 +255,7 @@ func run() int {
 			stats := st.Stats()
 			if err := st.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "opmbench: store close:", err)
+				code = max(code, 1)
 			}
 			fmt.Fprintf(os.Stderr, "opmbench: store %s: %d cached hits, %d misses, %d committed, %d live entries\n",
 				*storeDir, stats.Hits, stats.Misses, stats.Commits, st.Len())

@@ -19,17 +19,6 @@
 //	job     transient | permanent | panic | delay   (sweep.Run, pre-fn)
 //	result  corrupt                                 (core result gate)
 //	store   torn | corrupt                          (store.Put framing)
-//	proc    kill | hang | torn                      (shard worker loop)
-//	coord   crash                                   (shard coordinator)
-//
-// The proc and coord points are process-level (internal/shard): a
-// fired proc:kill exits the worker process abruptly (kill -9),
-// proc:hang stops its heartbeat and blocks forever (the supervisor
-// must detect the stall and kill it), proc:torn leaves a torn frame at
-// the tail of the worker's shard journal before dying, and coord:crash
-// makes the coordinator itself die mid-sweep (resume is the recovery
-// path under test). Their attempt number is the process restart
-// generation, so — like job faults — they heal on restart by default.
 //
 // Every injected fault except store:corrupt heals on retry by default:
 // a rule fires only while the attempt number is below its count
@@ -63,9 +52,6 @@ const (
 	KindDelay
 	KindCorrupt
 	KindTorn
-	KindKill
-	KindHang
-	KindCrash
 )
 
 // String returns the spec-grammar name of the kind.
@@ -85,12 +71,6 @@ func (k Kind) String() string {
 		return "corrupt"
 	case KindTorn:
 		return "torn"
-	case KindKill:
-		return "kill"
-	case KindHang:
-		return "hang"
-	case KindCrash:
-		return "crash"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -100,8 +80,6 @@ const (
 	PointJob    = "job"
 	PointResult = "result"
 	PointStore  = "store"
-	PointProc   = "proc"
-	PointCoord  = "coord"
 )
 
 // kindsByPoint lists the kinds each point accepts (spec validation).
@@ -109,8 +87,16 @@ var kindsByPoint = map[string][]Kind{
 	PointJob:    {KindTransient, KindPermanent, KindPanic, KindDelay},
 	PointResult: {KindCorrupt},
 	PointStore:  {KindTorn, KindCorrupt},
-	PointProc:   {KindKill, KindHang, KindTorn},
-	PointCoord:  {KindCrash},
+}
+
+// pointKinds returns the kinds point accepts, or an error if no
+// injection site consumes point.
+func pointKinds(point string) ([]Kind, error) {
+	kinds, ok := kindsByPoint[point]
+	if !ok {
+		return nil, fmt.Errorf("faultinject: unknown injection point %q (have job, result, store)", point)
+	}
+	return kinds, nil
 }
 
 // rule is one parsed clause: fire kind at point with probability rate,
@@ -169,9 +155,9 @@ func (in *Injector) Add(point string, kind Kind, rate float64, count int, delay 
 	if in == nil {
 		return fmt.Errorf("faultinject: Add on nil injector")
 	}
-	kinds, ok := kindsByPoint[point]
-	if !ok {
-		return fmt.Errorf("faultinject: unknown injection point %q (have job, result, store, proc, coord)", point)
+	kinds, err := pointKinds(point)
+	if err != nil {
+		return err
 	}
 	valid := false
 	for _, k := range kinds {
@@ -275,41 +261,6 @@ func (in *Injector) Result(ctx context.Context, key string) bool {
 	return ok
 }
 
-// Proc fires the "proc" point for one shard-worker cell, keyed by the
-// cell's job key with the worker's restart generation as the attempt
-// number — so a default-count rule kills (or hangs, or tears) the
-// process once and heals on the supervised restart. The caller (the
-// shard worker loop) owns the process-level consequence: KindKill
-// exits abruptly, KindHang stops heartbeating and blocks, KindTorn
-// leaves a torn frame at the shard journal's tail before dying.
-func (in *Injector) Proc(key string, generation int) Kind {
-	if in == nil {
-		return KindNone
-	}
-	r, ok := in.pick(PointProc, key, generation)
-	if !ok {
-		return KindNone
-	}
-	r.fired.Inc()
-	return r.kind
-}
-
-// Coord fires the "coord" point for the shard coordinator itself,
-// keyed by the coordinator's restart generation — a default-count
-// crash rule kills the first incarnation mid-sweep and lets the
-// resumed one finish. The caller owns the consequence (abandoning the
-// run without cleanup).
-func (in *Injector) Coord(generation int) bool {
-	if in == nil {
-		return false
-	}
-	r, ok := in.pick(PointCoord, "coord", generation)
-	if ok {
-		r.fired.Inc()
-	}
-	return ok
-}
-
 // StoreWrite fires the "store" point for one journal append, keyed by
 // the record digest: KindTorn simulates a short write (crash
 // mid-append), KindCorrupt flips payload bits after framing (silent
@@ -350,12 +301,15 @@ func Parse(spec string) (*Injector, error) {
 		if !ok {
 			return nil, fmt.Errorf("faultinject: clause %q: want point:kind@rate", clause)
 		}
+		if _, err := pointKinds(point); err != nil {
+			return nil, fmt.Errorf("faultinject: clause %q: %w", clause, err)
+		}
 		kindStr, rest, ok := strings.Cut(rest, "@")
 		if !ok {
 			return nil, fmt.Errorf("faultinject: clause %q: missing @rate", clause)
 		}
 		var kind Kind
-		for k := KindTransient; k <= KindCrash; k++ {
+		for k := KindTransient; k <= KindTorn; k++ {
 			if k.String() == kindStr {
 				kind = k
 			}

@@ -5,8 +5,8 @@ package lint
 // bound, so handing control to something that blocks — channel traffic,
 // store journal appends, HTTP round-trips, child processes — without
 // threading the context breaks that promise exactly where it matters
-// (the serving daemon's drain path and the shard coordinator's
-// supervision loop both found real leaks this way). Two rules:
+// (the serving daemon's drain path found real leaks this way). Two
+// rules:
 //
 //  1. context.Background()/context.TODO() are banned outside cmd/ —
 //     a library function either receives its context or derives one

@@ -1,14 +1,12 @@
 package lint
 
-// errdiscard: the store, faultinject, serve and shard packages may
-// never drop an error on the floor. The journal is the single source
-// of truth for cached results — a swallowed write or fsync error there
+// errdiscard: the store, faultinject and serve packages may never
+// drop an error on the floor. The journal is the single source of
+// truth for cached results — a swallowed write or fsync error there
 // turns "crash-safe checkpoint" into silent data loss, the fault
-// injector's whole job is to prove errors propagate, the serving
+// injector's whole job is to prove errors propagate, and the serving
 // daemon sits on the journal's write path (a dropped commit error
-// would quietly un-persist an answered query), and the shard merge
-// rewrites journals wholesale (a swallowed error there loses a whole
-// shard's results, not one record). Flagged forms:
+// would quietly un-persist an answered query). Flagged forms:
 // a call statement whose (last) result is an error, and a blank `_`
 // assignment of an error-typed value. Exempt by contract: writes to
 // strings.Builder, bytes.Buffer and hash.Hash* (defined to never
@@ -24,10 +22,10 @@ import (
 
 var errdiscardCheck = &Check{
 	Name: "errdiscard",
-	Doc:  "no discarded errors in store/faultinject/serve/shard (journal write paths)",
+	Doc:  "no discarded errors in store/faultinject/serve (journal write paths)",
 	Applies: func(w *World, p *Package) bool {
 		for _, seg := range strings.Split(p.ImportPath, "/") {
-			if seg == "store" || seg == "faultinject" || seg == "serve" || seg == "shard" {
+			if seg == "store" || seg == "faultinject" || seg == "serve" {
 				return true
 			}
 		}

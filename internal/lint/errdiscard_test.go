@@ -6,15 +6,13 @@ import (
 )
 
 // TestErrdiscardApplies pins the check's package scope: the journal's
-// crash-safety layer (store), the fault injector, the serving daemon
-// on the journal's write path, and the shard coordinator that merges
-// journals wholesale — and nothing else.
+// crash-safety layer (store), the fault injector, and the serving
+// daemon on the journal's write path — and nothing else.
 func TestErrdiscardApplies(t *testing.T) {
 	for path, want := range map[string]bool{
 		"repro/internal/store":       true,
 		"repro/internal/faultinject": true,
 		"repro/internal/serve":       true,
-		"repro/internal/shard":       true,
 		"repro/internal/sweep":       false,
 		"repro/internal/harness":     false,
 		"repro/cmd/opmserve":         false,

@@ -2,10 +2,9 @@ package lint
 
 // goroleak: every goroutine spawned in internal/ must have a provable
 // bounded exit. A leaked goroutine is invisible until a drain hangs or
-// a test binary never exits — the serve refinement workers and the
-// shard heartbeat are the motivating cases. Accepted proofs, checked
-// on the spawned body (a function literal or a resolved module
-// function):
+// a test binary never exits — the serve refinement workers are the
+// motivating case. Accepted proofs, checked on the spawned body (a
+// function literal or a resolved module function):
 //
 //   - no unbounded loop at all (the body runs to its return);
 //   - every unconditional for-loop returns or breaks somewhere (the

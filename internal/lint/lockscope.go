@@ -4,11 +4,11 @@ package lint
 // A lock held across channel traffic, file or journal I/O, an HTTP
 // round-trip or a child-process wait turns every other contender into
 // a convoy behind that latency — in the serving daemon that is a tail
-// spike, in the shard coordinator a missed heartbeat window. The walk
-// is cfg.go's symbolic execution of each body; what counts as
-// blocking is the interprocedural lockscope classification (ctxflow's
-// set plus file I/O), so a call into a helper that eventually writes
-// the journal is flagged at the call site under the lock.
+// spike. The walk is cfg.go's symbolic execution of each body; what
+// counts as blocking is the interprocedural lockscope classification
+// (ctxflow's set plus file I/O), so a call into a helper that
+// eventually writes the journal is flagged at the call site under the
+// lock.
 //
 // Suppression: //opmlint:allow lockscope — <why> where the mutex IS
 // the serialization point by design (the store's single-writer

@@ -84,9 +84,9 @@ func AnalyzeTrace(events []Event) *TraceProfile {
 		c := open[ev.Trace]
 		if ev.Name == EvEnqueue || c == nil {
 			// EvEnqueue always opens a fresh occurrence; any other event
-			// with no open chain (a serve or shard chain, or a trace
-			// cut before its enqueue) opens a partial one so nothing is
-			// silently dropped.
+			// with no open chain (a serve chain, or a trace cut before
+			// its enqueue) opens a partial one so nothing is silently
+			// dropped.
 			c = &JobChain{Trace: ev.Trace, Job: ev.Job, Worker: ev.Worker, StartNS: ev.TSNS}
 			open[ev.Trace] = c
 			p.Chains = append(p.Chains, c)

@@ -76,15 +76,6 @@ const (
 	EvAdmit     = "serve/admit"   // admission granted (dur: queue wait, detail: class)
 	EvReject    = "serve/reject"  // admission rejected with 429 (detail: class)
 	EvRefine    = "serve/refine"  // background exact refinement committed (dur: compute)
-
-	// Sharded-execution events (internal/shard). Assign/steal/restart
-	// are emitted by the coordinator under the run's trace ID; merge is
-	// emitted per cell under the cell's store-digest trace ID, so the
-	// coordinator chain joins the worker chains that computed the cell.
-	EvShardAssign  = "shard/assign"  // cells partitioned to a shard (detail: shard:count)
-	EvShardSteal   = "shard/steal"   // idle slot stole work from the slowest shard (detail: from:to:count)
-	EvShardRestart = "shard/restart" // supervisor respawned a dead or stalled worker (detail: shard:generation:cause)
-	EvShardMerge   = "shard/merge"   // cell folded into the canonical store (detail: duplicates, or quarantined)
 )
 
 // Event is one step of a job's causal chain.

@@ -68,7 +68,6 @@ bench .                 'BenchmarkObsOverhead$' 1x
 bench .                 'BenchmarkTraceOverhead$' 1x
 bench .                 'BenchmarkStoreWarmVsCold$' 1x
 bench ./internal/serve  'BenchmarkServeHotPath$' 1s
-bench ./internal/shard  'BenchmarkShardMerge$' 5x
 bench ./internal/lint   'BenchmarkLintRepo$' 3x
 
 # test2json wraps stdout writes in Output actions, and one benchmark

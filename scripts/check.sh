@@ -54,9 +54,12 @@ go test -race -timeout 60m $pkgs
 # re-encoding every stream it accepts into equal events; FuzzFanout
 # requires memsim.Fanout to leave every sim as a lone run would, and a
 # sim to detach exactly when its buffer bases are not congruent to its
-# front's. Plain `go test` above replays only the committed seed
-# corpora.
-for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout; do
+# front's; FuzzOpen holds the store's journal replay to never failing
+# an open and to leaving a store that reopens clean after a Put and a
+# Close; FuzzParse holds the -faults grammar to round-tripping every
+# spec it accepts. Plain `go test` above replays only the committed
+# seed corpora.
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/store:FuzzOpen internal/faultinject:FuzzParse; do
 	pkg="./${target%%:*}"
 	fn="${target#*:}"
 	echo "== go test -fuzz $fn $pkg (10s)"
@@ -87,11 +90,3 @@ scripts/bench-json.sh -check
 echo "== chaos suite (go test -race, fixed fault seeds)"
 go test -race -count=1 -run 'TestChaos|TestTornWrites|TestCorruptWrites|TestStoreChaos' \
 	./internal/harness ./internal/store
-
-# Process-chaos gate: sharded sweeps under injected worker kill -9,
-# hangs, torn shard-journal tails and a coordinator crash+resume must
-# merge to a store byte-identical to the sequential run
-# (TestChaosGateShardedByteIdentity is the acceptance assertion; the
-# suite spawns real re-exec'd worker processes).
-echo "== process-chaos suite (go test -race ./internal/shard)"
-go test -race -count=1 ./internal/shard
