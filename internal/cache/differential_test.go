@@ -63,9 +63,12 @@ func apply(c Cache, o op) result {
 }
 
 // checkAgainstRef drives got and ref through ops in lockstep and fails
-// at the first operation whose results or Stats differ.
+// at the first operation whose results or Stats differ. For a SetAssoc
+// it also checks the layout (checkSet) of the set each operation
+// touched, right after the operation, and of every set at the end.
 func checkAgainstRef(t *testing.T, got, ref Cache, ops []op) {
 	t.Helper()
+	sa, _ := got.(*SetAssoc)
 	for i, o := range ops {
 		if g, w := apply(got, o), apply(ref, o); g != w {
 			t.Fatalf("op %d %v = %+v, reference %+v", i, o, g, w)
@@ -73,7 +76,45 @@ func checkAgainstRef(t *testing.T, got, ref Cache, ops []op) {
 		if *got.Stats() != *ref.Stats() {
 			t.Fatalf("op %d %v: stats %+v, reference %+v", i, o, *got.Stats(), *ref.Stats())
 		}
+		if sa != nil {
+			if err := checkSet(sa, o.line); err != nil {
+				t.Fatalf("op %d %v: %v", i, o, err)
+			}
+		}
 	}
+	if sa != nil {
+		for line := uint64(0); line <= sa.setMask; line++ {
+			if err := checkSet(sa, line); err != nil {
+				t.Fatalf("after %d ops: %v", len(ops), err)
+			}
+		}
+	}
+}
+
+// checkSet reports a valid key after an empty way, or a line held
+// twice, in lineAddr's set. find stops at the first empty way, so
+// either would let a lookup miss a resident line or fill a second copy
+// of it. Checking every set after every operation instead would cut
+// FuzzSetAssoc's executions a hundredfold.
+func checkSet(c *SetAssoc, lineAddr uint64) error {
+	base := int(lineAddr&c.setMask) * c.ways
+	set := c.keys[base : base+c.ways]
+	empty := false
+	for w, k := range set {
+		if k == 0 {
+			empty = true
+			continue
+		}
+		if empty {
+			return fmt.Errorf("set %d %#x: valid way %d follows an empty way", base/c.ways, set, w)
+		}
+		for _, prev := range set[:w] {
+			if prev&^1 == k&^1 {
+				return fmt.Errorf("set %d %#x: line %d appears twice", base/c.ways, set, k>>1-1)
+			}
+		}
+	}
+	return nil
 }
 
 // randomOps draws n operations over lines [0, domain) plus the same
@@ -157,7 +198,8 @@ func decodeOps(data []byte) []op {
 
 // FuzzSetAssoc decodes a geometry (1–16 ways from the first byte, 1–16
 // sets from the second) and an operation stream from the rest, and
-// requires SetAssoc to match the reference after every operation.
+// requires SetAssoc to match the reference and keep its sets' layout
+// after every operation.
 func FuzzSetAssoc(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

@@ -3,23 +3,22 @@ package cache
 import "fmt"
 
 // SetAssoc is a set-associative cache with true-LRU replacement,
-// implemented with per-line timestamps (a hit only writes one counter,
-// keeping the simulator's hot path free of shuffling).
+// implemented by keeping each set in recency order (an LRU stack,
+// Mattson et al. 1970), so a fill's victim is always the set's last
+// way.
 //
-// Each way is a key and an age in two parallel slices. A key is
-// (line+1)<<1 | dirty, and 0 marks an empty way, so a lookup scans
-// only the set's keys. A way's age is 0 exactly when it is empty and
-// otherwise the clock value of its last use, unique within the cache;
-// the first way of minimum age is therefore the first empty way if
-// there is one and the least recently used way if not, which is the
-// victim a fill takes. The encoding is exact for line addresses below
-// 2^62, which covers every address LineAddr returns.
+// Each way is a key, (line+1)<<1 | dirty, and 0 marks an empty way.
+// Within a set the valid keys come first, most recently used first,
+// and the empty ways after them; a lookup therefore stops at the first
+// empty way. A hit moves its key to the front; a fill shifts the set
+// down one way, dropping the last way (empty, or the LRU line of a
+// full set), and installs at the front; an invalidation closes the gap
+// and leaves an empty way at the end. The encoding is exact for line
+// addresses below 2^62, which covers every address LineAddr returns.
 type SetAssoc struct {
 	ways    int
 	setMask uint64
-	keys    []uint64 // sets*ways
-	age     []uint64 // sets*ways; LRU timestamps
-	clock   uint64
+	keys    []uint64 // sets*ways; each set most recently used first
 	stats   Stats
 }
 
@@ -42,7 +41,6 @@ func NewSetAssoc(name string, capacityBytes int64, ways int) *SetAssoc {
 		ways:    ways,
 		setMask: uint64(sets - 1),
 		keys:    make([]uint64, lines),
-		age:     make([]uint64, lines),
 	}
 }
 
@@ -55,38 +53,47 @@ func (c *SetAssoc) Stats() *Stats { return &c.stats }
 // Reset clears contents and statistics.
 func (c *SetAssoc) Reset() {
 	clear(c.keys)
-	clear(c.age)
-	c.clock = 0
 	c.stats = Stats{}
 }
 
-// find returns the index of lineAddr's set's first way, and the index
-// of the way holding lineAddr, or -1 when the line is absent.
-func (c *SetAssoc) find(lineAddr uint64) (base, i int) {
-	base = int(lineAddr&c.setMask) * c.ways
+// find returns lineAddr's set and the index of the way holding
+// lineAddr within it, or -1 when the line is absent.
+func (c *SetAssoc) find(lineAddr uint64) (set []uint64, i int) {
+	base := int(lineAddr&c.setMask) * c.ways
+	set = c.keys[base : base+c.ways]
 	want := lineKey(lineAddr)
-	for w, k := range c.keys[base : base+c.ways] {
+	for w, k := range set {
 		if k&^1 == want {
-			return base, base + w
+			return set, w
+		}
+		if k == 0 {
+			break
 		}
 	}
-	return base, -1
+	return set, -1
+}
+
+// touch moves the key at set[i] to the front, setting its dirty bit
+// when dirty is true.
+func touch(set []uint64, i int, dirty bool) {
+	k := set[i]
+	if dirty {
+		k |= 1
+	}
+	copy(set[1:i+1], set[:i])
+	set[0] = k
 }
 
 // Access implements Cache.
 func (c *SetAssoc) Access(lineAddr uint64, write bool) (bool, Line) {
 	c.stats.Accesses++
-	base, i := c.find(lineAddr)
+	set, i := c.find(lineAddr)
 	if i < 0 {
 		c.stats.Misses++
-		return false, c.fill(base, lineAddr, write)
+		return false, c.fill(set, lineAddr, write)
 	}
 	c.stats.Hits++
-	c.clock++
-	c.age[i] = c.clock
-	if write {
-		c.keys[i] |= 1
-	}
+	touch(set, i, write)
 	return true, Line{}
 }
 
@@ -98,57 +105,44 @@ func (c *SetAssoc) Probe(lineAddr uint64) bool {
 
 // Invalidate implements Cache.
 func (c *SetAssoc) Invalidate(lineAddr uint64) (bool, bool) {
-	_, i := c.find(lineAddr)
+	set, i := c.find(lineAddr)
 	if i < 0 {
 		return false, false
 	}
-	dirty := c.keys[i]&1 != 0
-	c.keys[i] = 0
-	c.age[i] = 0
+	dirty := set[i]&1 != 0
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = 0
 	return true, dirty
 }
 
 // Insert implements Cache.
 func (c *SetAssoc) Insert(lineAddr uint64, dirty bool) Line {
-	base, i := c.find(lineAddr)
+	set, i := c.find(lineAddr)
 	if i < 0 {
-		return c.fill(base, lineAddr, dirty)
+		return c.fill(set, lineAddr, dirty)
 	}
 	// Already present: refresh state instead of duplicating.
-	if dirty {
-		c.keys[i] |= 1
-	}
-	c.clock++
-	c.age[i] = c.clock
+	touch(set, i, dirty)
 	return Line{}
 }
 
-// fill installs a line in the first way of minimum age: the first
-// empty way, or the LRU way when the set is full.
-func (c *SetAssoc) fill(base int, lineAddr uint64, dirty bool) Line {
-	ages := c.age[base : base+c.ways]
-	victim, oldest := 0, ages[0]
-	for w, a := range ages {
-		if a < oldest {
-			victim, oldest = w, a
-		}
-	}
-	i := base + victim
+// fill installs a line at the front of set, evicting the last way when
+// the set is full.
+func (c *SetAssoc) fill(set []uint64, lineAddr uint64, dirty bool) Line {
 	var ev Line
-	if k := c.keys[i]; k != 0 {
+	if k := set[len(set)-1]; k != 0 {
 		ev = Line{Addr: k>>1 - 1, Dirty: k&1 != 0, Valid: true}
 		c.stats.Evictions++
 		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	c.clock++
+	copy(set[1:], set)
 	key := lineKey(lineAddr)
 	if dirty {
 		key |= 1
 	}
-	c.keys[i] = key
-	c.age[i] = c.clock
+	set[0] = key
 	return ev
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/memsim"
@@ -154,6 +156,40 @@ func TestSpTRSVLatencyAnomalyOnKNL(t *testing.T) {
 	ddr := MustMachine(knl, memsim.ModeDDR).MustRun(w)
 	if flat.GFlops > ddr.GFlops*1.3 {
 		t.Fatalf("SpTRSV should not gain much from MCDRAM: flat %v vs ddr %v", flat.GFlops, ddr.GFlops)
+	}
+}
+
+func TestSpTRANSNoMCDRAMBenefitOnKNL(t *testing.T) {
+	// DESIGN §6 target 7 (Table 5 row SpTRANS): the scan-based
+	// transpose is L2-tiled, so no MCDRAM mode moves it from DDR, from
+	// a footprint inside the 32 MB L2 to ones well past it.
+	knl := platform.KNL()
+	ms, err := Machines(knl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms[0].Mode != memsim.ModeDDR {
+		t.Fatalf("first KNL mode is %v, want ddr", ms[0].Mode)
+	}
+	for _, fam := range []sparse.Family{sparse.FamRandomUniform, sparse.FamPoisson2D} {
+		for _, fp := range []int64{8 << 20, 64 << 20, 512 << 20} {
+			spec := sparse.Spec{Name: fmt.Sprintf("%v-%dMB", fam, fp>>20), Family: fam, PaperFootprint: fp, RowNNZ: 8, Seed: 1}
+			m, err := spec.Checked(knl.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := Exact.EstimateMachines(context.Background(), nil, nil, ms, &trace.SpTRANS{M: m}, (*Machine).Label)
+			if err != nil {
+				t.Fatalf("%s: %v", spec.Name, err)
+			}
+			ddr := rs[0]
+			for i, r := range rs[1:] {
+				if ratio := r.GFlops / ddr.GFlops; math.Abs(ratio-1) > 0.05 {
+					t.Errorf("%s on %v: %.3f× ddr (%.2f vs %.2f GFlop/s), want within 5%%",
+						spec.Name, ms[i+1].Mode, ratio, r.GFlops, ddr.GFlops)
+				}
+			}
+		}
 	}
 }
 

@@ -37,3 +37,36 @@ func TestModeTextRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %v -> %s -> %v", in, data, out)
 	}
 }
+
+// FuzzParseMode feeds arbitrary labels to ParseMode and UnmarshalText.
+// Neither may panic; a label ParseMode accepts must marshal back to the
+// same bytes; and UnmarshalText must accept exactly what ParseMode
+// accepts, store the same Mode, and leave its receiver unchanged when
+// it rejects.
+func FuzzParseMode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		want, perr := ParseMode(s)
+		const untouched = Mode(-1)
+		got := untouched
+		uerr := got.UnmarshalText([]byte(s))
+		if (perr == nil) != (uerr == nil) {
+			t.Fatalf("%q: ParseMode error %v, UnmarshalText error %v", s, perr, uerr)
+		}
+		if perr != nil {
+			if got != untouched {
+				t.Fatalf("%q rejected but UnmarshalText stored %v", s, got)
+			}
+			return
+		}
+		if got != want {
+			t.Fatalf("%q: UnmarshalText stored %v, ParseMode returned %v", s, got, want)
+		}
+		b, err := want.MarshalText()
+		if err != nil {
+			t.Fatalf("%q: MarshalText: %v", s, err)
+		}
+		if string(b) != s {
+			t.Fatalf("%q parses to %v, which marshals to %q", s, want, b)
+		}
+	})
+}

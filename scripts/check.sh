@@ -49,7 +49,8 @@ go test -race -timeout 60m $pkgs
 
 # The fuzz targets. The cache models' decode a geometry and an
 # operation stream and require the cache to match its reference
-# implementation (internal/cache/ref_test.go) after every operation;
+# implementation (internal/cache/ref_test.go) after every operation,
+# and SetAssoc's sets to keep their recency-ordered layout;
 # FuzzReadTrace holds the trace decoder to never panicking and to
 # re-encoding every stream it accepts into equal events; FuzzFanout
 # requires memsim.Fanout to leave every sim as a lone run would, and a
@@ -57,9 +58,11 @@ go test -race -timeout 60m $pkgs
 # front's; FuzzOpen holds the store's journal replay to never failing
 # an open and to leaving a store that reopens clean after a Put and a
 # Close; FuzzParse holds the -faults grammar to round-tripping every
-# spec it accepts. Plain `go test` above replays only the committed
-# seed corpora.
-for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/store:FuzzOpen internal/faultinject:FuzzParse; do
+# spec it accepts; FuzzParseMode holds ParseMode and Mode's
+# UnmarshalText to agreeing and every accepted label to re-marshalling
+# byte-identical. Plain `go test` above replays only the committed seed
+# corpora.
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/faultinject:FuzzParse; do
 	pkg="./${target%%:*}"
 	fn="${target#*:}"
 	echo "== go test -fuzz $fn $pkg (10s)"
