@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"repro/internal/memsim"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -58,10 +59,11 @@ func DefaultTuning() map[string]Tuning {
 // Machine is one platform in one memory mode — the unit the paper's
 // per-figure sweeps iterate over.
 type Machine struct {
-	Plat   *platform.Platform
-	Mode   memsim.Mode
-	cfg    memsim.Config
-	tuning map[string]Tuning
+	Plat    *platform.Platform
+	Mode    memsim.Mode
+	cfg     memsim.Config
+	cfgHash string // obs.Hash(cfg), fixed with cfg at construction
+	tuning  map[string]Tuning
 }
 
 // NewMachine builds a machine, validating that the platform supports
@@ -71,11 +73,16 @@ func NewMachine(p *platform.Platform, mode memsim.Mode) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{Plat: p, Mode: mode, cfg: cfg, tuning: DefaultTuning()}, nil
+	return &Machine{Plat: p, Mode: mode, cfg: cfg, cfgHash: obs.Hash(cfg), tuning: DefaultTuning()}, nil
 }
 
 // Config returns the machine's simulator configuration.
 func (m *Machine) Config() memsim.Config { return m.cfg }
+
+// ConfigHash returns obs.Hash(m.Config()), computed once when the
+// machine was built: the config never changes afterwards, and store
+// keys fingerprint it on every cell.
+func (m *Machine) ConfigHash() string { return m.cfgHash }
 
 // Label returns "platform/mode" for reports.
 func (m *Machine) Label() string { return m.Plat.Name + "/" + m.Mode.String() }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/memsim"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sparse"
 	"repro/internal/sweep"
@@ -55,6 +56,24 @@ func TestMachineConstruction(t *testing.T) {
 	}
 	if got := len(machines); got != 4 {
 		t.Fatalf("KNL machines = %d, want 4", got)
+	}
+}
+
+// TestMachineConfigHash holds the fingerprint NewMachine caches to the
+// one obs.Hash computes from the config, on every mode of every
+// platform: dense store keys fold it in, so a stale or wrong cache
+// would address every dense cell under a different digest.
+func TestMachineConfigHash(t *testing.T) {
+	for _, p := range platform.AllWithExtensions() {
+		machines, err := Machines(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range machines {
+			if got, want := m.ConfigHash(), obs.Hash(m.Config()); got != want {
+				t.Errorf("%s: ConfigHash() = %s, obs.Hash(Config()) = %s", m.Label(), got, want)
+			}
+		}
 	}
 }
 
@@ -293,6 +312,44 @@ func TestRunDenseKNLFlatCollapse(t *testing.T) {
 	hy := MustMachine(knl, memsim.ModeHybrid).MustRunDense(trace.DenseGEMM, 30000, 1024)
 	if hy.GFlops < ok.GFlops/2 {
 		t.Fatalf("hybrid should stay healthy: %v", hy.GFlops)
+	}
+}
+
+// TestKNLGEMMHybridVsCache pins where DESIGN §6 target #5 (hybrid
+// beats cache mode for GEMM, Table 5) stands on the full Figure 15
+// grid: it is not reproduced. Hybrid never beats cache. Wherever both
+// modes are compute-bound they are equal, and the only cells where
+// they differ are nb = 128 at n >= 26,880, where hybrid's halved MCDRAM
+// cache leaves it DDR-bound (1,201 vs 895 GFlop/s at n = 32,000). A
+// model change that makes this test fail must update §6 #5 and
+// EXPERIMENTS.md Known deviation 3 with it.
+func TestKNLGEMMHybridVsCache(t *testing.T) {
+	knl := platform.KNL()
+	cache := MustMachine(knl, memsim.ModeCache)
+	hybrid := MustMachine(knl, memsim.ModeHybrid)
+	var lower []string
+	for n := 256; n <= 32000; n += 1024 { // denseGrid(KNL, full)
+		for nb := 128; nb <= 4096; nb += 128 {
+			c := cache.MustRunDense(trace.DenseGEMM, n, nb)
+			h := hybrid.MustRunDense(trace.DenseGEMM, n, nb)
+			switch {
+			case h.GFlops > c.GFlops:
+				t.Errorf("n=%d nb=%d: hybrid %.1f > cache %.1f GFlop/s; §6 #5 now holds here", n, nb, h.GFlops, c.GFlops)
+			case c.Bound == memsim.BoundCompute && h.Bound == memsim.BoundCompute:
+				if h.GFlops != c.GFlops {
+					t.Errorf("n=%d nb=%d: both compute-bound but hybrid %v != cache %v", n, nb, h.GFlops, c.GFlops)
+				}
+			case h.GFlops < c.GFlops:
+				if h.Bound != memsim.BoundDDRBW {
+					t.Errorf("n=%d nb=%d: hybrid below cache bound by %s, want %s", n, nb, h.Bound, memsim.BoundDDRBW)
+				}
+				lower = append(lower, fmt.Sprintf("%d/%d", n, nb))
+			}
+		}
+	}
+	want := "[26880/128 27904/128 28928/128 29952/128 30976/128 32000/128]"
+	if got := fmt.Sprint(lower); got != want {
+		t.Errorf("cells where hybrid < cache (n/nb) = %s, want %s", got, want)
 	}
 }
 

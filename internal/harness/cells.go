@@ -65,7 +65,7 @@ const DenseSweepID = "dense"
 // denseCache uses (the per-job machine config hash folds into the key;
 // the family's cfgHash is empty).
 func DenseKey(j core.DenseJob) string {
-	return fmt.Sprintf("%s|%s|%d|%d", obs.Hash(j.Machine.Config()), j.Kind, j.N, j.NB)
+	return fmt.Sprintf("%s|%s|%d|%d", j.Machine.ConfigHash(), j.Kind, j.N, j.NB)
 }
 
 // CurveSweepID is the store family of one kernel's curve cells.

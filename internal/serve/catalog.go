@@ -96,28 +96,36 @@ func (c *cell) expFor(est core.Estimator) string {
 	return harness.CellFamilyID(est, c.family)
 }
 
-// catalog caches per-platform curve specs (machine construction is
-// cheap but the spec pins identity; one instance per platform keeps
-// config hashing consistent and contention-free).
+// catalog caches per-platform curve specs with their config hashes
+// (machine construction is cheap but the spec pins identity; one
+// instance per platform keeps config hashing consistent, and hashing
+// it once keeps it off the per-query path).
 type catalog struct {
 	mu    sync.Mutex
-	specs map[string]*harness.CurveSpec
+	specs map[string]catalogSpec
+}
+
+// catalogSpec is one platform's curve spec and its ConfigHash.
+type catalogSpec struct {
+	spec    *harness.CurveSpec
+	cfgHash string
 }
 
 func newCatalog() *catalog {
-	return &catalog{specs: map[string]*harness.CurveSpec{}}
+	return &catalog{specs: map[string]catalogSpec{}}
 }
 
-func (c *catalog) spec(platform string) (*harness.CurveSpec, error) {
+func (c *catalog) spec(platform string) (catalogSpec, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s, ok := c.specs[platform]; ok {
 		return s, nil
 	}
-	s, err := harness.NewCurveSpec(platform)
+	spec, err := harness.NewCurveSpec(platform)
 	if err != nil {
-		return nil, err
+		return catalogSpec{}, err
 	}
+	s := catalogSpec{spec: spec, cfgHash: spec.ConfigHash()}
 	c.specs[platform] = s
 	return s, nil
 }
@@ -125,10 +133,11 @@ func (c *catalog) spec(platform string) (*harness.CurveSpec, error) {
 // resolve maps a request onto its cell, validating platform, mode and
 // parameters. eng is the engine estimators run under.
 func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
-	spec, err := c.spec(req.Platform)
+	cs, err := c.spec(req.Platform)
 	if err != nil {
 		return nil, err
 	}
+	spec := cs.spec
 	mode, err := memsim.ParseMode(req.Mode)
 	if err != nil {
 		return nil, err
@@ -149,7 +158,7 @@ func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 		kernel, fp := req.Kernel, req.Footprint
 		return &cell{
 			family:     harness.CurveSweepID(kernel),
-			cfgHash:    spec.ConfigHash(),
+			cfgHash:    cs.cfgHash,
 			key:        harness.CurveCellKey(fp),
 			kernelName: kernel,
 			mode:       mode,

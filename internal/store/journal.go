@@ -58,6 +58,40 @@ type entry struct {
 	Data json.RawMessage `json:"data"`
 }
 
+// entryHead is entry without its payload: the four fields json.Marshal
+// writes before "data", with the same names and order.
+type entryHead struct {
+	V      int    `json:"v"`
+	Digest string `json:"digest"`
+	Exp    string `json:"exp"`
+	Key    string `json:"key"`
+}
+
+// encodeEntry returns the journal payload of e. Only the head fields go
+// through json.Marshal; Data is spliced in verbatim as the last member.
+// For every record Put writes this is byte-identical to
+// json.Marshal(e): Put's Data is json.Marshal output, already compact
+// and HTML-escaped, and compacting and escaping it is all json.Marshal
+// would do to a RawMessage. Compaction rewrites replayed records the
+// same way, so a payload keeps the bytes it was read with. An empty
+// Data encodes as null, as a nil one does in json.Marshal.
+func encodeEntry(e entry) ([]byte, error) {
+	head, err := json.Marshal(entryHead{V: e.V, Digest: e.Digest, Exp: e.Exp, Key: e.Key})
+	if err != nil {
+		return nil, err
+	}
+	data := []byte(e.Data)
+	if len(data) == 0 {
+		data = []byte("null")
+	}
+	const dataMember = `,"data":`
+	payload := make([]byte, 0, len(head)+len(dataMember)+len(data))
+	payload = append(payload, head[:len(head)-1]...) // drop the closing brace
+	payload = append(payload, dataMember...)
+	payload = append(payload, data...)
+	return append(payload, '}'), nil
+}
+
 // frame assembles the on-disk bytes of one payload.
 func frame(payload []byte) []byte {
 	buf := make([]byte, frameHeaderLen+len(payload))

@@ -21,6 +21,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -242,7 +243,7 @@ func (s *Store) Put(digest, exp, key string, v any) error {
 		return fmt.Errorf("store: encoding %s: %w", digest, err)
 	}
 	e := entry{V: entryVersion, Digest: digest, Exp: exp, Key: key, Data: data}
-	payload, err := json.Marshal(e)
+	payload, err := encodeEntry(e)
 	if err != nil {
 		s.countCommitErr()
 		return fmt.Errorf("store: encoding %s: %w", digest, err)
@@ -343,7 +344,7 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	for _, digest := range s.order {
-		payload, err := json.Marshal(s.index[digest])
+		payload, err := encodeEntry(s.index[digest])
 		if err != nil {
 			return fmt.Errorf("store: compacting %s: %w", digest, err)
 		}
@@ -431,12 +432,12 @@ func (s *Store) Close() error {
 // Parts are length-prefixed before hashing so no concatenation of
 // different parts can collide ("a","bc" never equals "ab","c").
 func Digest(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
+	var stack [256]byte
+	buf := stack[:0]
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(p)))
+		buf = append(buf, p...)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

@@ -60,9 +60,13 @@ go test -race -timeout 60m $pkgs
 # Close; FuzzParse holds the -faults grammar to round-tripping every
 # spec it accepts; FuzzParseMode holds ParseMode and Mode's
 # UnmarshalText to agreeing and every accepted label to re-marshalling
-# byte-identical. Plain `go test` above replays only the committed seed
-# corpora.
-for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/faultinject:FuzzParse; do
+# byte-identical; FuzzEntryEncode holds the store's one-pass journal
+# record encoder to json.Marshal's bytes; FuzzQueryRequest holds the
+# serve catalog's resolve of a /v1/query body to never panicking, to
+# the digest computed with no cached config fingerprint, and to
+# resolving a re-marshalled request identically. Plain `go test` above
+# replays only the committed seed corpora.
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/faultinject:FuzzParse internal/serve:FuzzQueryRequest; do
 	pkg="./${target%%:*}"
 	fn="${target#*:}"
 	echo "== go test -fuzz $fn $pkg (10s)"
