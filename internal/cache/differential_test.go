@@ -156,6 +156,65 @@ func TestSetAssocMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSetAssocEdgeCases drives SetAssoc and the reference through the
+// set positions a single walk of a set treats apart: the MRU way, the
+// last way of a full set, and the first empty way. Every stream works
+// in set 0 (line i*sets is the set's i-th line) and ends by missing
+// once per way, so the victims' order and dirty bits expose any
+// reordering or lost dirty bit the case itself left behind.
+func TestSetAssocEdgeCases(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 16} {
+		for _, sets := range []int{1, 4} {
+			line := func(i int) uint64 { return uint64(i * sets) }
+			acc := func(i int, w bool) op { return op{kind: opAccess, line: line(i), flag: w} }
+			ins := func(i int, d bool) op { return op{kind: opInsert, line: line(i), flag: d} }
+			inv := func(i int) op { return op{kind: opInvalidate, line: line(i)} }
+			// fill makes lines 0..n-1 resident, line n-1 most recent.
+			fill := func(n int) []op {
+				var ops []op
+				for i := 0; i < n; i++ {
+					ops = append(ops, acc(i, false))
+				}
+				return ops
+			}
+			drain := func(ops ...op) []op {
+				for i := 0; i < ways; i++ {
+					ops = append(ops, acc(1000+i, false), op{kind: opProbe, line: line(i)})
+				}
+				return ops
+			}
+			last := ways - 1
+			cases := map[string][]op{
+				// A write hit on the MRU way sets its dirty bit and
+				// moves nothing.
+				"write hit on MRU": drain(append(fill(ways), acc(last, true), acc(last, false))...),
+				// A hit in the last way of a full set moves the LRU
+				// line to the front.
+				"hit in last way": drain(append(fill(ways), acc(0, true))...),
+				// Insert of a resident line keeps one copy and ORs its
+				// dirty bit, at way 0 and at the last way.
+				"insert resident at way 0":    drain(append(fill(ways), ins(last, true), ins(last, false))...),
+				"insert resident at last way": drain(append(append([]op{acc(0, true)}, fill(ways)[1:]...), ins(0, false))...),
+				// A miss into a set with exactly one empty way fills
+				// it and evicts nothing.
+				"miss into one empty way": drain(append(fill(last), acc(last, true))...),
+				// Invalidating the last way leaves the set's one empty
+				// way at the end for the next miss.
+				"invalidate last way": drain(append(fill(ways), inv(0), acc(2000, true))...),
+				// Invalidating the MRU way of a full set, then
+				// inserting it back clean.
+				"invalidate MRU then insert": drain(append(fill(ways), acc(last, true), inv(last), ins(last, false))...),
+			}
+			for name, ops := range cases {
+				t.Run(fmt.Sprintf("%s/ways=%d/sets=%d", name, ways, sets), func(t *testing.T) {
+					capBytes := int64(ways*sets) * LineSize
+					checkAgainstRef(t, NewSetAssoc("sa", capBytes, ways), newRefSetAssoc("ref", capBytes, ways), ops)
+				})
+			}
+		}
+	}
+}
+
 func TestDirectMappedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, lines := range []int64{1, 2, 64, 128, 4096} {

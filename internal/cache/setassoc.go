@@ -10,11 +10,14 @@ import "fmt"
 // Each way is a key, (line+1)<<1 | dirty, and 0 marks an empty way.
 // Within a set the valid keys come first, most recently used first,
 // and the empty ways after them; a lookup therefore stops at the first
-// empty way. A hit moves its key to the front; a fill shifts the set
-// down one way, dropping the last way (empty, or the LRU line of a
-// full set), and installs at the front; an invalidation closes the gap
-// and leaves an empty way at the end. The encoding is exact for line
-// addresses below 2^62, which covers every address LineAddr returns.
+// empty way. Access and Insert walk the set once: a line in the MRU
+// way only takes the dirty bit, and any other walk shifts each key it
+// passes down one way and writes the line's key to the front. A hit
+// stops at the line; a miss stops at the first empty way, or shifts the
+// LRU line out of the last way of a full set as the victim. An
+// invalidation closes the gap and leaves an empty way at the end. The
+// encoding is exact for line addresses below 2^62, which covers every
+// address LineAddr returns.
 type SetAssoc struct {
 	ways    int
 	setMask uint64
@@ -57,7 +60,8 @@ func (c *SetAssoc) Reset() {
 }
 
 // find returns lineAddr's set and the index of the way holding
-// lineAddr within it, or -1 when the line is absent.
+// lineAddr within it, or -1 when the line is absent. Only Probe and
+// Invalidate search this way; Access and Insert use promote.
 func (c *SetAssoc) find(lineAddr uint64) (set []uint64, i int) {
 	base := int(lineAddr&c.setMask) * c.ways
 	set = c.keys[base : base+c.ways]
@@ -73,28 +77,69 @@ func (c *SetAssoc) find(lineAddr uint64) (set []uint64, i int) {
 	return set, -1
 }
 
-// touch moves the key at set[i] to the front, setting its dirty bit
-// when dirty is true.
-func touch(set []uint64, i int, dirty bool) {
-	k := set[i]
+// promote makes lineAddr the most recently used line of its set in one
+// walk, ORing dirty into its key. The MRU way is compared first, and a
+// match there moves nothing. Otherwise each key is shifted down one way
+// while the set is searched, and the walk stops at the line (a hit), at
+// the first empty way (a miss into free room) or past the last way (a
+// miss through a full set); the line's key is then written to the
+// front. promote reports whether the line was resident, and on a miss
+// returns the key shifted out of the last way: the LRU line of a full
+// set, or 0.
+func (c *SetAssoc) promote(lineAddr uint64, dirty bool) (hit bool, victim uint64) {
+	base := int(lineAddr&c.setMask) * c.ways
+	set := c.keys[base : base+c.ways]
+	key := lineKey(lineAddr)
+	var d uint64
 	if dirty {
-		k |= 1
+		d = 1
 	}
-	copy(set[1:i+1], set[:i])
-	set[0] = k
+	prev := set[0]
+	if prev&^1 == key {
+		set[0] = prev | d
+		return true, 0
+	}
+	for w := 1; w < len(set); w++ {
+		k := set[w]
+		set[w] = prev
+		if k&^1 == key {
+			set[0] = k | d
+			return true, 0
+		}
+		if k == 0 {
+			set[0] = key | d
+			return false, 0
+		}
+		prev = k
+	}
+	set[0] = key | d
+	return false, prev
+}
+
+// evicted is the Line a fill returns for the key it shifted out of the
+// last way, counting the eviction and its writeback; 0 is no victim.
+func (c *SetAssoc) evicted(k uint64) Line {
+	if k == 0 {
+		return Line{}
+	}
+	ev := Line{Addr: k>>1 - 1, Dirty: k&1 != 0, Valid: true}
+	c.stats.Evictions++
+	if ev.Dirty {
+		c.stats.Writebacks++
+	}
+	return ev
 }
 
 // Access implements Cache.
 func (c *SetAssoc) Access(lineAddr uint64, write bool) (bool, Line) {
 	c.stats.Accesses++
-	set, i := c.find(lineAddr)
-	if i < 0 {
-		c.stats.Misses++
-		return false, c.fill(set, lineAddr, write)
+	hit, victim := c.promote(lineAddr, write)
+	if hit {
+		c.stats.Hits++
+		return true, Line{}
 	}
-	c.stats.Hits++
-	touch(set, i, write)
-	return true, Line{}
+	c.stats.Misses++
+	return false, c.evicted(victim)
 }
 
 // Probe implements Cache.
@@ -115,35 +160,11 @@ func (c *SetAssoc) Invalidate(lineAddr uint64) (bool, bool) {
 	return true, dirty
 }
 
-// Insert implements Cache.
+// Insert implements Cache. A resident line is refreshed, not
+// duplicated, and a hit returns no victim.
 func (c *SetAssoc) Insert(lineAddr uint64, dirty bool) Line {
-	set, i := c.find(lineAddr)
-	if i < 0 {
-		return c.fill(set, lineAddr, dirty)
-	}
-	// Already present: refresh state instead of duplicating.
-	touch(set, i, dirty)
-	return Line{}
-}
-
-// fill installs a line at the front of set, evicting the last way when
-// the set is full.
-func (c *SetAssoc) fill(set []uint64, lineAddr uint64, dirty bool) Line {
-	var ev Line
-	if k := set[len(set)-1]; k != 0 {
-		ev = Line{Addr: k>>1 - 1, Dirty: k&1 != 0, Valid: true}
-		c.stats.Evictions++
-		if ev.Dirty {
-			c.stats.Writebacks++
-		}
-	}
-	copy(set[1:], set)
-	key := lineKey(lineAddr)
-	if dirty {
-		key |= 1
-	}
-	set[0] = key
-	return ev
+	_, victim := c.promote(lineAddr, dirty)
+	return c.evicted(victim)
 }
 
 var _ Cache = (*SetAssoc)(nil)

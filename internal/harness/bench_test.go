@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsim"
 	"repro/internal/platform"
+	"repro/internal/sparse"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -28,6 +29,34 @@ func BenchmarkCurveCellKNL(b *testing.B) {
 		}
 	}
 	cell()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cell()
+	}
+}
+
+// BenchmarkSparseCellBroadwell times one mid-size sparse cell, SpTRANS
+// on a 64 MB (paper scale) RMAT matrix on Broadwell's ddr and edram
+// machines through the exact estimator, on a worker whose pooled
+// simulators are already built: the per-job body of the Broadwell
+// sparse figures, matrix build included. Its scalar gathers walk L1,
+// L2, L3 and the eDRAM victim cache one access at a time.
+func BenchmarkSparseCellBroadwell(b *testing.B) {
+	base, opms, plat, err := machineSet("broadwell")
+	if err != nil {
+		b.Fatal(err)
+	}
+	machines := append([]*core.Machine{base}, opms...)
+	spec := sparse.Spec{Name: "rmat-64MB", Family: sparse.FamRMAT, PaperFootprint: 64 << 20, RowNNZ: 16, Seed: 1}
+	ctx := context.Background()
+	w := sweep.NewWorker(0)
+	cell := func() {
+		if _, err := sparseCell(ctx, nil, w, core.Exact, plat, machines, "SpTRANS", spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cell()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cell()

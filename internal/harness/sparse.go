@@ -96,36 +96,7 @@ func runSparse(ctx context.Context, platName, kernel string, opt Options) ([]spa
 					return sparsePoint{}, err
 				}
 			}
-			m, err := spec.Checked(plat.Scale)
-			if err != nil {
-				return sparsePoint{}, err
-			}
-			wl, err := sparseWorkload(kernel, m)
-			if err != nil {
-				return sparsePoint{}, err
-			}
-			// Every mode's cell runs through the result gate: inject,
-			// validate, quarantine on violation.
-			rs, err := opt.estimator().EstimateMachines(ctx, eng, w, machines, wl, func(mach *core.Machine) string {
-				return spec.Name + "|" + mach.Label()
-			})
-			if err != nil {
-				return sparsePoint{}, fmt.Errorf("%s on %s: %w", spec.Name, machines[len(rs)].Label(), err)
-			}
-			pt := sparsePoint{
-				Spec: spec,
-				Rows: m.Rows,
-				NNZ:  m.NNZ(),
-				// Structure axes are reported at paper scale too: the
-				// suite's instantiation shrinks rows/nnz by ~Scale.
-				Footprint: 0,
-				GFlops:    map[memsim.Mode]float64{},
-			}
-			for i, mach := range machines {
-				pt.GFlops[mach.Mode] = rs[i].GFlops
-				pt.Footprint = rs[i].FootprintBytes
-			}
-			return pt, nil
+			return sparseCell(ctx, eng, w, opt.estimator(), plat, machines, kernel, spec)
 		})
 	sp.End()
 	points, errs, err := sweep.Compact(results, runErr)
@@ -137,6 +108,43 @@ func runSparse(ctx context.Context, platName, kernel string, opt Options) ([]spa
 			"kernel", kernel, "dropped", len(errs), "kept", len(points))
 	}
 	return points, machines, errs, nil
+}
+
+// sparseCell is the body of one sparse sweep job: instantiate spec's
+// matrix at plat's scale, build kernel's trace workload over it, and
+// evaluate it on every machine through one est.EstimateMachines call on
+// w's pooled simulators.
+func sparseCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, est core.Estimator, plat *platform.Platform, machines []*core.Machine, kernel string, spec sparse.Spec) (sparsePoint, error) {
+	m, err := spec.Checked(plat.Scale)
+	if err != nil {
+		return sparsePoint{}, err
+	}
+	wl, err := sparseWorkload(kernel, m)
+	if err != nil {
+		return sparsePoint{}, err
+	}
+	// Every mode's cell runs through the result gate: inject,
+	// validate, quarantine on violation.
+	rs, err := est.EstimateMachines(ctx, eng, w, machines, wl, func(mach *core.Machine) string {
+		return spec.Name + "|" + mach.Label()
+	})
+	if err != nil {
+		return sparsePoint{}, fmt.Errorf("%s on %s: %w", spec.Name, machines[len(rs)].Label(), err)
+	}
+	pt := sparsePoint{
+		Spec: spec,
+		Rows: m.Rows,
+		NNZ:  m.NNZ(),
+		// Structure axes are reported at paper scale too: the
+		// suite's instantiation shrinks rows/nnz by ~Scale.
+		Footprint: 0,
+		GFlops:    map[memsim.Mode]float64{},
+	}
+	for i, mach := range machines {
+		pt.GFlops[mach.Mode] = rs[i].GFlops
+		pt.Footprint = rs[i].FootprintBytes
+	}
+	return pt, nil
 }
 
 // sparseRunner builds Figures 9–11 (Broadwell) and 17–22 (KNL): raw

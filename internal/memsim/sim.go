@@ -70,9 +70,21 @@ func (b Buffer) InMCDRAM() bool { return b.base < ddrBase }
 func (b Buffer) check(off, n int64) {
 	limit := (b.size + cache.LineSize - 1) &^ (cache.LineSize - 1)
 	if off < 0 || n <= 0 || off > limit || n > limit-off {
-		panic(fmt.Sprintf("memsim: buffer %q: access of %d bytes at %d outside %d bytes",
-			b.name, n, off, b.size))
+		panic(accessFault{b.name, off, n, b.size})
 	}
+}
+
+// accessFault is check's panic value. Its message is formatted only
+// when printed, which keeps check small enough to inline into every
+// Load and Store.
+type accessFault struct {
+	name         string
+	off, n, size int64
+}
+
+func (f accessFault) Error() string {
+	return fmt.Sprintf("memsim: buffer %q: access of %d bytes at %d outside %d bytes",
+		f.name, f.n, f.off, f.size)
 }
 
 // Load issues a read of n bytes at byte offset off.

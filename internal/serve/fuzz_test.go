@@ -12,9 +12,10 @@ import (
 	"repro/internal/obs"
 )
 
-// FuzzQueryRequest decodes arbitrary bytes as a POST /v1/query body,
-// the way handleQuery does, and resolves the request on one catalog
-// shared across inputs, as the daemon's is. No cell is computed.
+// FuzzQueryRequest decodes arbitrary bytes as a POST /v1/query body
+// through decodeBody, as handleQuery does, and resolves the request on
+// one catalog shared across inputs, as the daemon's is. No cell is
+// computed.
 // Resolve must never panic. A cell it accepts must carry the digest
 // harness.CellDigest gives when every config fingerprint is computed
 // from scratch with obs.Hash, which guards both cached fingerprints
@@ -28,7 +29,7 @@ func FuzzQueryRequest(f *testing.F) {
 	cat := newCatalog()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req QueryRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		if err := decodeBody(bytes.NewReader(body), &req); err != nil {
 			return
 		}
 		c, err := cat.resolve(req, nil)
@@ -44,7 +45,7 @@ func FuzzQueryRequest(f *testing.F) {
 			t.Fatal(err)
 		}
 		var req2 QueryRequest
-		if err := json.Unmarshal(again, &req2); err != nil {
+		if err := decodeBody(bytes.NewReader(again), &req2); err != nil {
 			t.Fatalf("re-marshalled request %s does not decode: %v", again, err)
 		}
 		c2, err := cat.resolve(req2, nil)

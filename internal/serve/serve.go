@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -262,7 +263,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.done()
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding query: %w", err))
 		return
 	}
@@ -613,6 +614,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, stats)
+}
+
+// decodeBody decodes a request body into v strictly: a field v does
+// not name, or anything but whitespace after the one JSON value, is an
+// error, so a misspelt field or text left after the body is refused
+// instead of answered as some other cell.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

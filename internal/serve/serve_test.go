@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -530,6 +531,40 @@ func TestServeSweepJobs(t *testing.T) {
 	decodeQuery(t, postQuery(t, h, "/v1/query", req.Queries[0]))
 	if reg.Counter("serve/hits").Value() == 0 {
 		t.Fatal("sweep results did not warm the hot set")
+	}
+}
+
+// TestServeStrictBodies: a query or sweep body with anything but
+// whitespace after its JSON value, or with a field the request types
+// do not name, is refused with 400 before it is answered.
+func TestServeStrictBodies(t *testing.T) {
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	dense := `{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256}`
+	for name, c := range map[string]struct {
+		path, body string
+		code       int
+	}{
+		"trailing text":       {"/v1/query", dense + " this is not json", http.StatusBadRequest},
+		"second value":        {"/v1/query", dense + dense, http.StatusBadRequest},
+		"unknown field":       {"/v1/query", `{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256,"nbb":7}`, http.StatusBadRequest},
+		"sweep trailing text": {"/v1/sweep", `{"queries":[` + dense + `]} this is not json`, http.StatusBadRequest},
+		"sweep unknown field": {"/v1/sweep", `{"queries":[` + dense + `],"klass":"batch"}`, http.StatusBadRequest},
+		"sweep query field":   {"/v1/sweep", `{"queries":[{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nbb":7}]}`, http.StatusBadRequest},
+		"trailing newline":    {"/v1/query", dense + "\n", http.StatusOK},
+		"surrounding spaces":  {"/v1/query", " \t" + dense + " \r\n ", http.StatusOK},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", c.path, strings.NewReader(c.body)))
+		if w.Code != c.code {
+			t.Errorf("%s: status %d, want %d (%s)", name, w.Code, c.code, w.Body)
+		}
+	}
+	if got := srv.jobs.counts()["tracked"]; got != 0 {
+		t.Fatalf("%d sweep jobs created from refused bodies", got)
 	}
 }
 

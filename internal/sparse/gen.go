@@ -59,7 +59,7 @@ func Banded(n, band, nnzPerRow int, seed uint64) *CSR {
 		band = nnzPerRow
 	}
 	rng := newRNG(seed)
-	coo := &COO{Rows: n, Cols: n}
+	coo := newCOO(n, n, n*max(nnzPerRow, 1))
 	half := band / 2
 	for i := 0; i < n; i++ {
 		coo.Add(i, i, diagVal(rng))
@@ -80,7 +80,7 @@ func Banded(n, band, nnzPerRow int, seed uint64) *CSR {
 // locality for SpMV's x vector.
 func RandomUniform(n, nnzPerRow int, seed uint64) *CSR {
 	rng := newRNG(seed)
-	coo := &COO{Rows: n, Cols: n}
+	coo := newCOO(n, n, n*max(nnzPerRow, 1))
 	for i := 0; i < n; i++ {
 		coo.Add(i, i, diagVal(rng))
 		for k := 1; k < nnzPerRow; k++ {
@@ -101,7 +101,7 @@ func RMAT(n, nnz int, seed uint64) *CSR {
 	}
 	size := 1 << levels
 	const a, b, c = 0.57, 0.19, 0.19 // standard Graph500 parameters
-	coo := &COO{Rows: n, Cols: n}
+	coo := newCOO(n, n, n+max(nnz, 0))
 	for i := 0; i < n; i++ {
 		coo.Add(i, i, diagVal(rng))
 	}
@@ -131,7 +131,7 @@ func RMAT(n, nnz int, seed uint64) *CSR {
 // diagonal blocks: FEM-like structure with strong reuse inside blocks.
 func BlockDiag(n, blockSize int, seed uint64) *CSR {
 	rng := newRNG(seed)
-	coo := &COO{Rows: n, Cols: n}
+	coo := newCOO(n, n, n*min(blockSize, n))
 	for b0 := 0; b0 < n; b0 += blockSize {
 		end := b0 + blockSize
 		if end > n {
@@ -154,7 +154,7 @@ func BlockDiag(n, blockSize int, seed uint64) *CSR {
 // k×k grid (n = k²) — the classic PDE matrix.
 func Poisson2D(k int) *CSR {
 	n := k * k
-	coo := &COO{Rows: n, Cols: n}
+	coo := newCOO(n, n, 5*n)
 	idx := func(x, y int) int { return y*k + x }
 	for y := 0; y < k; y++ {
 		for x := 0; x < k; x++ {
@@ -180,7 +180,7 @@ func Poisson2D(k int) *CSR {
 // Poisson3D generates the 7-point Laplacian on a k×k×k grid (n = k³).
 func Poisson3D(k int) *CSR {
 	n := k * k * k
-	coo := &COO{Rows: n, Cols: n}
+	coo := newCOO(n, n, 7*n)
 	idx := func(x, y, z int) int { return (z*k+y)*k + x }
 	for z := 0; z < k; z++ {
 		for y := 0; y < k; y++ {
@@ -213,7 +213,7 @@ func Poisson3D(k int) *CSR {
 
 // Tridiag generates the n×n tridiagonal [-1, 2, -1] matrix.
 func Tridiag(n int) *CSR {
-	coo := &COO{Rows: n, Cols: n}
+	coo := newCOO(n, n, 3*n)
 	for i := 0; i < n; i++ {
 		coo.Add(i, i, 2)
 		if i > 0 {
@@ -234,7 +234,7 @@ func Arrow(n, width int, seed uint64) *CSR {
 	if width >= n {
 		width = n / 2
 	}
-	coo := &COO{Rows: n, Cols: n}
+	coo := newCOO(n, n, n+2*(n-width)*width)
 	for i := 0; i < n; i++ {
 		coo.Add(i, i, diagVal(rng))
 		if i >= width {

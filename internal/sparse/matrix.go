@@ -23,6 +23,20 @@ type COO struct {
 // NNZ returns the number of stored entries.
 func (a *COO) NNZ() int { return len(a.Val) }
 
+// newCOO returns an empty rows×cols COO with room for capacity
+// entries: a generator sizes it once from the entry bound it knows, so
+// Add never grows the slices. A capacity below zero reserves nothing.
+func newCOO(rows, cols, capacity int) *COO {
+	capacity = max(capacity, 0)
+	return &COO{
+		Rows:   rows,
+		Cols:   cols,
+		RowIdx: make([]int32, 0, capacity),
+		ColIdx: make([]int32, 0, capacity),
+		Val:    make([]float64, 0, capacity),
+	}
+}
+
 // Add appends an entry.
 func (a *COO) Add(i, j int, v float64) {
 	a.RowIdx = append(a.RowIdx, int32(i))
@@ -213,28 +227,47 @@ func (m *CSR) ToCOO() *COO {
 
 // LowerTriangle extracts the lower-triangular part of a square matrix
 // and forces a nonsingular diagonal (the paper adds a diagonal to
-// singular inputs before SpTRSV, Appendix A.2.5).
+// singular inputs before SpTRSV, Appendix A.2.5). A counting pass sizes
+// the output before it is filled.
 func (m *CSR) LowerTriangle() (*CSR, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("sparse: LowerTriangle needs a square matrix, got %dx%d", m.Rows, m.Cols)
 	}
-	l := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1)}
+	// lower returns the end of row i's lower part, which stops at the
+	// first column past the diagonal, and whether it holds the diagonal.
+	lower := func(i int) (end int64, hasDiag bool) {
+		end = m.RowPtr[i]
+		for ; end < m.RowPtr[i+1] && int(m.ColIdx[end]) <= i; end++ {
+			if int(m.ColIdx[end]) == i {
+				hasDiag = true
+			}
+		}
+		return end, hasDiag
+	}
+	nnz := 0
+	for i := 0; i < m.Rows; i++ {
+		end, hasDiag := lower(i)
+		nnz += int(end - m.RowPtr[i])
+		if !hasDiag {
+			nnz++
+		}
+	}
+	l := &CSR{
+		Rows:   m.Rows,
+		Cols:   m.Cols,
+		RowPtr: make([]int64, m.Rows+1),
+		ColIdx: make([]int32, 0, nnz),
+		Val:    make([]float64, 0, nnz),
+	}
 	for i := 0; i < m.Rows; i++ {
 		l.RowPtr[i] = int64(len(l.Val))
-		hasDiag := false
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			c := m.ColIdx[p]
-			if int(c) > i {
-				break
-			}
+		end, hasDiag := lower(i)
+		for p := m.RowPtr[i]; p < end; p++ {
 			v := m.Val[p]
-			if int(c) == i {
-				hasDiag = true
-				if v == 0 {
-					v = 1
-				}
+			if int(m.ColIdx[p]) == i && v == 0 {
+				v = 1
 			}
-			l.ColIdx = append(l.ColIdx, c)
+			l.ColIdx = append(l.ColIdx, m.ColIdx[p])
 			l.Val = append(l.Val, v)
 		}
 		if !hasDiag {

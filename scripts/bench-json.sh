@@ -3,8 +3,9 @@
 #
 # Runs the fixed benchmark roster (sweep-engine overheads, the cache
 # models' lookups and reset, the memory simulator's streaming hot loop,
-# one KNL curve cell across its four modes, one dense cell's store
-# digest, twin-vs-exact, store warm/cold, and the obs registry/tracer
+# one KNL curve cell across its four modes, one Broadwell sparse cell
+# (matrix build plus scalar gathers on ddr and edram), one dense cell's
+# store digest, twin-vs-exact, store warm/cold, and the obs registry/tracer
 # overhead guards) through `go test -bench -json`, extracts every "<name> ns/op"
 # result from the test2json stream, and writes the sorted {benchmark:
 # ns_per_op} map to BENCH_sweep.json.
@@ -64,6 +65,7 @@ bench ./internal/sweep  'BenchmarkMap(DisabledResilience|IdleResilience|NilInjec
 bench ./internal/cache  'Benchmark(SetAssocAccess|DirectMappedAccess|DirectMappedReset)$' 1s
 bench ./internal/memsim 'BenchmarkSimStreamingAccess$' 1s
 bench ./internal/harness 'BenchmarkCurveCellKNL$' 20x
+bench ./internal/harness 'BenchmarkSparseCellBroadwell$' 10x
 bench ./internal/harness 'BenchmarkDenseCellDigest$' 1s
 bench ./internal/twin   'BenchmarkTwinVsExact$' 1x
 bench .                 'BenchmarkObsOverhead$' 1x
