@@ -1,6 +1,6 @@
 # Convenience targets; see scripts/check.sh for the full gate.
 
-.PHONY: build test lint check calib calib-baseline chaos bench bench-obs bench-store bench-resilience bench-twin bench-json bench-baseline bench-trace bench-serve profile serve
+.PHONY: build test lint check chaos bench bench-obs bench-store bench-resilience bench-json bench-baseline bench-trace bench-serve profile serve
 
 build:
 	go build ./...
@@ -17,23 +17,6 @@ lint:
 # race-enabled tests.
 check:
 	scripts/check.sh
-
-# Twin calibration: sweep both estimators over the quick paper grid,
-# print per-family MAPE / Pearson r, and fail if any family regressed
-# past scripts/calib-baseline.json (+10% relative slack).
-calib:
-	go run ./cmd/opmcalib -check
-
-# Re-measure and overwrite the checked-in calibration baseline. Run
-# after a deliberate twin-model change, and commit the diff together
-# with the matching twin.DefaultBounds update.
-calib-baseline:
-	go run ./cmd/opmcalib -write-baseline
-
-# Twin payoff guard: both estimators over the same dense + curve sweep
-# slices; the curve cells are where exact simulation pays per access.
-bench-twin:
-	go test -bench=BenchmarkTwinVsExact -benchtime=3x -run=^$$ ./internal/twin
 
 # Chaos suite: fault-injected sweeps, retry/breaker/deadline paths, and
 # store write damage, all under the race detector with fixed fault
@@ -61,9 +44,9 @@ bench-store:
 bench-trace:
 	go test -bench=BenchmarkTraceOverhead -benchtime=3x -run=^$$ .
 
-# Perf trajectory: run the fixed benchmark roster (sweep, memsim, twin,
-# store, obs, trace) and write the sorted {benchmark: ns_per_op} map to
-# BENCH_sweep.json.
+# Perf trajectory: run the fixed benchmark roster (sweep, cache, memsim,
+# harness cells, exact estimator, store, obs, trace, serve, lint) and
+# write the sorted {benchmark: ns_per_op} map to BENCH_sweep.json.
 bench-json:
 	scripts/bench-json.sh
 

@@ -20,8 +20,6 @@
 //	opmbench -exp all -store cache      # checkpoint results; rerun is warm
 //	opmbench -exp all -store cache -resume   # continue an interrupted run
 //	opmbench -exp fig9 -store cache -force   # recompute, overwrite cache
-//	opmbench -exp fig7 -estimator twin       # analytic twin, no simulation
-//	opmbench -exp all -estimator auto -twin-max-err 0.10  # twin where calibrated
 //	opmbench -exp all -strict           # dropped jobs fail the run
 //	opmbench -exp fig9 -metrics out.json       # manifest + registry dump
 //	opmbench -exp fig9 -trace run.jsonl        # per-job event chains (see opmprof)
@@ -48,7 +46,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/sweep"
-	"repro/internal/twin"
 )
 
 func main() { os.Exit(run()) }
@@ -73,9 +70,6 @@ func run() (code int) {
 		jobTimeout = flag.Duration("job-timeout", 0, "per-attempt deadline for one sweep job (0 = none); an attempt that exceeds it fails retryably and counts toward -retries, while -timeout still bounds the whole run")
 		breaker    = flag.Int("breaker", 0, "trip a per-sweep circuit breaker after this many consecutive dropped jobs, failing the sweep's remaining jobs fast (0 = off)")
 		faults     = flag.String("faults", "", "chaos fault-injection spec, e.g. \"seed=7,job:transient@0.1,store:torn@0.5\" (points: job, result, store; kinds: transient, permanent, panic, delay, corrupt, torn; see README fault grammar)")
-
-		estimator  = flag.String("estimator", "exact", "result estimator: exact (per-access simulation), twin (calibrated analytic model), or auto (twin where calibrated error permits, exact elsewhere)")
-		twinMaxErr = flag.Float64("twin-max-err", 0.10, "with -estimator=auto: serve the twin only for kernel families whose calibrated error bound is at most this fraction")
 
 		storeDir = flag.String("store", "", "persistent result store directory: cached jobs are reused, completed jobs are checkpointed as they finish")
 		resume   = flag.Bool("resume", false, "continue an interrupted run from an existing -store (errors if the store does not exist yet)")
@@ -214,12 +208,7 @@ func run() (code int) {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	est, err := twin.Select(*estimator, *twinMaxErr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "opmbench: %v\n", err)
-		return 2
-	}
-	opt := harness.Options{Full: *full, OutDir: *out, Workers: *workers, Obs: reg, Log: logger, Force: *force, Estimator: est, Trace: tracer}
+	opt := harness.Options{Full: *full, OutDir: *out, Workers: *workers, Obs: reg, Log: logger, Force: *force, Trace: tracer}
 	if *retries > 0 || *jobTimeout > 0 || *breaker > 0 {
 		opt.Resilience = &resilience.Policy{
 			MaxAttempts:      *retries + 1,

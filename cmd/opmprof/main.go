@@ -119,9 +119,6 @@ func chainFlags(c *obs.JobChain) string {
 	if c.Faults > 0 {
 		flags = append(flags, fmt.Sprintf("%d faults", c.Faults))
 	}
-	if c.Escalations > 0 {
-		flags = append(flags, fmt.Sprintf("%d escalations", c.Escalations))
-	}
 	if c.Failed {
 		flags = append(flags, "FAILED")
 	}

@@ -37,9 +37,7 @@ func run() int {
 		storeD  = flag.String("store", "", "persistent result store directory (strongly recommended; empty serves from memory only)")
 		workers = flag.Int("workers", 4, "persistent sweep worker pool size")
 		hotSet  = flag.Int("hot", 4096, "hot-set capacity in cells (in-memory LRU in front of the journal)")
-		admit   = flag.String("admit", "", "admission overrides as class=rate:burst:queue, comma-separated; e.g. interactive=200:50:64,batch=50:16:256,refine=25:8:1024")
-
-		twinMaxErr = flag.Float64("twin-max-err", 0.10, "auto estimator tolerance: serve the twin for families whose calibrated error bound is at most this fraction")
+		admit   = flag.String("admit", "", "admission overrides as class=rate:burst:queue, comma-separated; e.g. interactive=200:50:64,batch=50:16:256")
 
 		retries    = flag.Int("retries", 1, "retry transient cold-compute failures up to this many extra attempts")
 		jobTimeout = flag.Duration("job-timeout", 2*time.Minute, "per-attempt deadline for one cold compute (0 = none)")
@@ -92,14 +90,13 @@ func run() int {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Store:      st,
-		Registry:   reg,
-		Tracer:     tracer,
-		Policy:     policy,
-		Workers:    *workers,
-		HotSet:     *hotSet,
-		Classes:    classes,
-		TwinMaxErr: *twinMaxErr,
+		Store:    st,
+		Registry: reg,
+		Tracer:   tracer,
+		Policy:   policy,
+		Workers:  *workers,
+		HotSet:   *hotSet,
+		Classes:  classes,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "opmserve:", err)
@@ -129,8 +126,8 @@ func run() int {
 	}
 
 	// Graceful drain: stop accepting, finish every accepted request
-	// (including queued admissions and background refinements), then
-	// close the store so the journal ends on a clean compaction.
+	// (including queued admissions and async sweep jobs), then close the
+	// store so the journal ends on a clean compaction.
 	fmt.Fprintln(os.Stderr, "opmserve: draining...")
 	dctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()

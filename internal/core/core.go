@@ -3,7 +3,9 @@
 // platform (Table 3) with a memory mode (Table 1); Run drives a kernel
 // workload through the hierarchy simulator and the Stepping-model
 // timing evaluation; RunDense evaluates the analytic tiled-traffic
-// model for the paper-scale GEMM/Cholesky sweeps.
+// model for the paper-scale GEMM/Cholesky sweeps. Exact, the one
+// Estimator, wraps both behind the result gate for the sweep cells the
+// harness, the serve daemon and perfbench evaluate.
 package core
 
 import (
@@ -89,7 +91,7 @@ func (m *Machine) Label() string { return m.Plat.Name + "/" + m.Mode.String() }
 
 // KernelProps builds the timing-model properties for a named kernel
 // and operation count from the machine's tuning table — the hook
-// analytic estimators (internal/twin) share with the exact path.
+// perfbench's Evaluate replay shares with the exact path.
 func (m *Machine) KernelProps(name string, flops float64) (memsim.KernelProps, error) {
 	return m.props(name, flops)
 }

@@ -11,22 +11,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Estimator is the pluggable evaluation policy behind every sweep
-// cell. The harness runners and the serve daemon are written against
-// this interface, not against the per-access simulator, so the same
-// figure can be produced by the exact simulation (Exact), by the
-// analytic stepping twin (internal/twin), or by an escalation policy
-// mixing the two.
+// Estimator is the evaluation seam behind every sweep cell. The
+// harness runners, the serve daemon and perfbench call it rather than
+// the per-access simulator directly. It has one implementation, Exact:
+// the trace simulation feeding the Stepping model (memsim.Evaluate).
 //
-// Mode and Version together are the estimator's identity in the
-// persistent result store: digests of non-exact estimators fold both
-// in, so a twin-computed cell can never alias an exact one in the
-// content-addressed journal (DESIGN.md §11). Implementations must be
-// deterministic — the same job must produce the same Result bytes
-// regardless of worker count or scheduling — and safe for concurrent
-// use from sweep workers.
+// Mode and Version are the estimator's identity in the persistent
+// result store; Exact keeps the historical digest layout (DESIGN.md
+// §11). Implementations must be deterministic — the same job must
+// produce the same Result bytes regardless of worker count or
+// scheduling — and safe for concurrent use from sweep workers.
 type Estimator interface {
-	// Mode names the policy: "exact", "twin" or "auto".
+	// Mode names the estimator: "exact".
 	Mode() string
 	// Version names the model generation producing the numbers (the
 	// exact estimator returns ModelVersion). Any change that alters a
@@ -34,7 +30,7 @@ type Estimator interface {
 	Version() string
 	// EstimateCell evaluates one trace-simulation cell: workload wl on
 	// machine m. w is the sweep worker owning pooled simulators (may
-	// be nil for estimators that do not simulate); key identifies the
+	// be nil, which builds unpooled simulators); key identifies the
 	// cell to the fault injector and the quarantine record. Every
 	// implementation must pass its result through the validation gate.
 	EstimateCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, m *Machine, wl trace.Workload, key string) (memsim.Result, error)

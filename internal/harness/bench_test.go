@@ -51,7 +51,7 @@ func BenchmarkSparseCellBroadwell(b *testing.B) {
 	ctx := context.Background()
 	w := sweep.NewWorker(0)
 	cell := func() {
-		if _, err := sparseCell(ctx, nil, w, core.Exact, plat, machines, "SpTRANS", spec); err != nil {
+		if _, err := sparseCell(ctx, nil, w, plat, machines, "SpTRANS", spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,30 +19,16 @@ import (
 // compute path, same stored bytes. Everything here is a thin exported
 // seam over the internals the figure runners already use, so the two
 // callers cannot drift apart: runCurves itself goes through CurveSpec,
-// and cacheFor goes through the same digest-identity helper as
-// CellDigest.
-
-// estimatorDigestIdentity applies the digest-separation rule of
-// DESIGN.md §11 to a sweep family: the exact estimator keeps the
-// historical layout (core.ModelVersion, unprefixed family), any other
-// estimator substitutes its own version and namespaces the family with
-// its mode, so a twin- or auto-computed cell can never alias an exact
-// one in either direction.
-func estimatorDigestIdentity(est core.Estimator, sweepID string) (version, id string) {
-	if est.Mode() == "exact" {
-		return core.ModelVersion, sweepID
-	}
-	return est.Version(), est.Mode() + "/" + sweepID
-}
+// and the batch store cache derives its digests through CellDigest.
 
 // CellDigest returns the store digest addressing one cached cell of
-// sweep family sweepID under estimator est — the four-part layout of
-// DESIGN.md §8 with §11's estimator separation applied. This is the
-// same digest cacheFor derives for batch sweeps, so a serve-side
-// lookup hits exactly the entries an opmbench run journaled.
+// sweep family sweepID as est computes it — the four-part layout of
+// DESIGN.md §8 with est.Version() as the model version, which for
+// core.Exact is core.ModelVersion. This is the digest the batch
+// sweeps' store cache derives, so a serve-side lookup hits exactly the
+// entries an opmbench run journaled.
 func CellDigest(est core.Estimator, sweepID, cfgHash, key string) string {
-	version, id := estimatorDigestIdentity(est, sweepID)
-	return store.Digest(version, cfgHash, id, key)
+	return store.Digest(est.Version(), cfgHash, sweepID, key)
 }
 
 // CellTraceID returns the trace identity of a cell digest — the same
@@ -50,13 +36,10 @@ func CellDigest(est core.Estimator, sweepID, cfgHash, key string) string {
 // the batch job chains for the same cell.
 func CellTraceID(digest string) string { return obs.TraceID("store", digest) }
 
-// CellFamilyID returns the estimator-namespaced sweep family — the Exp
-// provenance label batch sweeps record on Put, exported so the serve
-// daemon journals cells with identical provenance.
-func CellFamilyID(est core.Estimator, sweepID string) string {
-	_, id := estimatorDigestIdentity(est, sweepID)
-	return id
-}
+// CellFamilyID returns the Exp provenance label batch sweeps record on
+// Put: the sweep family itself, which perfbench journals its cells
+// under. est is not consulted; the one estimator adds no namespace.
+func CellFamilyID(_ core.Estimator, sweepID string) string { return sweepID }
 
 // DenseSweepID is the store family of the dense analytic grid cells.
 const DenseSweepID = "dense"

@@ -86,7 +86,7 @@ func runCurves(ctx context.Context, platName, kernel string, opt Options) ([]Cur
 	defer sp.End()
 	pts, err := sweep.MapCached(ctx, eng, fps, cache,
 		func(ctx context.Context, w *sweep.Worker, fp int64) (CurvePoint, error) {
-			return spec.ComputeCell(ctx, eng, w, opt.estimator(), kernel, fp)
+			return spec.ComputeCell(ctx, eng, w, core.Exact, kernel, fp)
 		})
 	if err != nil {
 		// Curve points are few and equally weighted; a hole would warp

@@ -39,12 +39,12 @@ func denseGrid(p *platform.Platform, full bool) (orders, blocks []int) {
 }
 
 // runDense evaluates analytic dense-model cells on the sweep engine
-// through the options' estimator and dense store cache, returning the
+// through the exact estimator and dense store cache, returning the
 // results in submission order.
 func runDense(ctx context.Context, opt Options, jobs []core.DenseJob) ([]memsim.Result, error) {
-	eng, est := opt.engine(), opt.estimator()
+	eng := opt.engine()
 	return sweep.MapCached(ctx, eng, jobs, denseCache(opt), func(ctx context.Context, _ *sweep.Worker, j core.DenseJob) (memsim.Result, error) {
-		return est.EstimateDense(ctx, eng, j, core.DenseCellKey(j))
+		return core.Exact.EstimateDense(ctx, eng, j, core.DenseCellKey(j))
 	})
 }
 

@@ -80,7 +80,7 @@ func runExtSkylake(ctx context.Context, opt Options) (*Report, error) {
 			w := trace.NewStream(brd.ScaledBytes(fp))
 			appB := 32.0 / 2.0 * w.Flops()
 			legs := []*core.Machine{mDDR, mBrd, mSky}
-			rs, err := opt.estimator().EstimateMachines(ctx, eng, sw, legs, w, func(m *core.Machine) string {
+			rs, err := core.Exact.EstimateMachines(ctx, eng, sw, legs, w, func(m *core.Machine) string {
 				return fmt.Sprintf("triad|fp=%d|%s", fp, m.Label())
 			})
 			if err != nil {
@@ -169,12 +169,12 @@ func runExtMultiuser(ctx context.Context, opt Options) (*Report, error) {
 			simFP := tc.plat.ScaledBytes(tc.fp)
 			solo := trace.NewStream(simFP)
 			key := fmt.Sprintf("tenancy|%s|fp=%d", m.Label(), tc.fp)
-			rSolo, err := opt.estimator().EstimateCell(ctx, eng, w, m, solo, key+"|solo")
+			rSolo, err := core.Exact.EstimateCell(ctx, eng, w, m, solo, key+"|solo")
 			if err != nil {
 				return tenancyGBs{}, err
 			}
 			co := trace.NewCoStream(simFP, simFP)
-			rCo, err := opt.estimator().EstimateCell(ctx, eng, w, m, co, key+"|shared")
+			rCo, err := core.Exact.EstimateCell(ctx, eng, w, m, co, key+"|shared")
 			if err != nil {
 				return tenancyGBs{}, err
 			}

@@ -76,12 +76,6 @@ type Options struct {
 	// result gate consults (opmbench -faults). Nil — production — costs
 	// one branch per injection site.
 	Inject *faultinject.Injector
-	// Estimator evaluates every sweep cell (opmbench -estimator). Nil
-	// means core.Exact — the per-access simulation the repo has always
-	// run, byte-identical to the pre-interface path. Non-exact
-	// estimators (twin, auto) are stored under their own digests and
-	// never alias exact results (DESIGN.md §11).
-	Estimator core.Estimator
 	// Trace, when non-nil, records every sweep job's causal event chain
 	// (enqueue → dispatch → attempts/retries/faults → estimator/gate →
 	// store → done) into the tracer's ring and optional JSONL sink
@@ -90,15 +84,6 @@ type Options struct {
 	// different runs join on the same cells. Like Obs, tracing never
 	// alters report bytes (DESIGN.md §12).
 	Trace *obs.Tracer
-}
-
-// estimator returns the options' estimator, defaulting to the exact
-// simulation.
-func (o Options) estimator() core.Estimator {
-	if o.Estimator == nil {
-		return core.Exact
-	}
-	return o.Estimator
 }
 
 // engine builds the sweep engine the option set describes.

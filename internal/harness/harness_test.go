@@ -225,7 +225,7 @@ func TestRepresentativeWorkloads(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, kernel := range kernelOrder {
-		run, err := representativeWorkload("broadwell", kernel, nil)
+		run, err := representativeWorkload("broadwell", kernel)
 		if err != nil {
 			t.Fatalf("%s: %v", kernel, err)
 		}

@@ -49,13 +49,13 @@ func powerRunner(platName string) func(context.Context, Options) (*Report, error
 		eng := opt.engine()
 		pairs, err := sweep.MapCached(ctx, eng, kernelOrder, cache,
 			func(ctx context.Context, w *sweep.Worker, kernel string) (powerPair, error) {
-				run, err := representativeWorkload(platName, kernel, opt.estimator())
+				run, err := representativeWorkload(platName, kernel)
 				if err != nil {
 					return powerPair{}, err
 				}
 				// The representative cells gate under the historical
 				// power|kernel|platform keys (inject, validate,
-				// quarantine), whichever estimator serves them.
+				// quarantine).
 				key := "power|" + kernel + "|" + platName
 				rb, err := run(ctx, eng, w, base, key+"|base")
 				if err != nil {

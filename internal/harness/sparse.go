@@ -96,7 +96,7 @@ func runSparse(ctx context.Context, platName, kernel string, opt Options) ([]spa
 					return sparsePoint{}, err
 				}
 			}
-			return sparseCell(ctx, eng, w, opt.estimator(), plat, machines, kernel, spec)
+			return sparseCell(ctx, eng, w, plat, machines, kernel, spec)
 		})
 	sp.End()
 	points, errs, err := sweep.Compact(results, runErr)
@@ -112,9 +112,9 @@ func runSparse(ctx context.Context, platName, kernel string, opt Options) ([]spa
 
 // sparseCell is the body of one sparse sweep job: instantiate spec's
 // matrix at plat's scale, build kernel's trace workload over it, and
-// evaluate it on every machine through one est.EstimateMachines call on
-// w's pooled simulators.
-func sparseCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, est core.Estimator, plat *platform.Platform, machines []*core.Machine, kernel string, spec sparse.Spec) (sparsePoint, error) {
+// evaluate it on every machine through one Exact.EstimateMachines call
+// on w's pooled simulators.
+func sparseCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, plat *platform.Platform, machines []*core.Machine, kernel string, spec sparse.Spec) (sparsePoint, error) {
 	m, err := spec.Checked(plat.Scale)
 	if err != nil {
 		return sparsePoint{}, err
@@ -125,7 +125,7 @@ func sparseCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, est cor
 	}
 	// Every mode's cell runs through the result gate: inject,
 	// validate, quarantine on violation.
-	rs, err := est.EstimateMachines(ctx, eng, w, machines, wl, func(mach *core.Machine) string {
+	rs, err := core.Exact.EstimateMachines(ctx, eng, w, machines, wl, func(mach *core.Machine) string {
 		return spec.Name + "|" + mach.Label()
 	})
 	if err != nil {

@@ -27,7 +27,6 @@ import (
 type storeCache[J, R any] struct {
 	st      *store.Store
 	force   bool
-	version string
 	sweepID string
 	cfgHash string
 	key     func(J) string
@@ -35,24 +34,16 @@ type storeCache[J, R any] struct {
 
 // cacheFor builds the sweep cache hook for one experiment sweep, or
 // nil (no memoization) when the options carry no store.
-//
-// Digest separation (DESIGN.md §11): the exact estimator keeps the
-// historical layout — version = core.ModelVersion, unprefixed sweepID —
-// so stores written before the estimator interface existed stay warm.
-// Any other estimator substitutes its own Version() and namespaces the
-// sweep family with its Mode(), so a twin- or auto-computed cell can
-// never alias an exact one, in either direction.
 func cacheFor[J, R any](opt Options, sweepID, cfgHash string, key func(J) string) sweep.Cache[J, R] {
 	if opt.Store == nil {
 		return nil
 	}
-	version, sweepID := estimatorDigestIdentity(opt.estimator(), sweepID)
-	return &storeCache[J, R]{st: opt.Store, force: opt.Force, version: version,
+	return &storeCache[J, R]{st: opt.Store, force: opt.Force,
 		sweepID: sweepID, cfgHash: cfgHash, key: key}
 }
 
 func (c *storeCache[J, R]) digest(j J) string {
-	return store.Digest(c.version, c.cfgHash, c.sweepID, c.key(j))
+	return CellDigest(core.Exact, c.sweepID, c.cfgHash, c.key(j))
 }
 
 // Lookup consults the store; under Force it reports a miss without

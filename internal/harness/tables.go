@@ -158,19 +158,16 @@ func runTable5(ctx context.Context, opt Options) (*Report, error) {
 }
 
 // representativeRun evaluates the power figures' single mid-size input
-// on one machine: a cell in the OPM-relevant region, estimated by est
-// and gated under key (the chaos injection identity).
+// on one machine: a cell in the OPM-relevant region, estimated by
+// core.Exact and gated under key (the chaos injection identity).
 type representativeRun func(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, m *core.Machine, key string) (memsim.Result, error)
 
 // representativeWorkload builds the single input used for the power
 // figures: a mid-size instance sitting in the OPM-relevant region.
-func representativeWorkload(platName, kernel string, est core.Estimator) (representativeRun, error) {
+func representativeWorkload(platName, kernel string) (representativeRun, error) {
 	_, _, plat, err := machineSet(platName)
 	if err != nil {
 		return nil, err
-	}
-	if est == nil {
-		est = core.Exact
 	}
 	switch kernel {
 	case "GEMM", "Cholesky":
@@ -183,7 +180,7 @@ func representativeWorkload(platName, kernel string, est core.Estimator) (repres
 			n = 16384
 		}
 		return func(ctx context.Context, eng *sweep.Engine, _ *sweep.Worker, m *core.Machine, key string) (memsim.Result, error) {
-			return est.EstimateDense(ctx, eng, core.DenseJob{Machine: m, Kind: kind, N: n, NB: 1024}, key)
+			return core.Exact.EstimateDense(ctx, eng, core.DenseJob{Machine: m, Kind: kind, N: n, NB: 1024}, key)
 		}, nil
 	case "SpMV", "SpTRANS", "SpTRSV":
 		// A mid-size matrix inside the OPM effective region.
@@ -194,7 +191,7 @@ func representativeWorkload(platName, kernel string, est core.Estimator) (repres
 			return nil, err
 		}
 		return func(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, m *core.Machine, key string) (memsim.Result, error) {
-			return est.EstimateCell(ctx, eng, w, m, wl, key)
+			return core.Exact.EstimateCell(ctx, eng, w, m, wl, key)
 		}, nil
 	case "Stream", "Stencil", "FFT":
 		fp := int64(96 << 20) // inside eDRAM region on Broadwell
@@ -206,7 +203,7 @@ func representativeWorkload(platName, kernel string, est core.Estimator) (repres
 			return nil, err
 		}
 		return func(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, m *core.Machine, key string) (memsim.Result, error) {
-			return est.EstimateCell(ctx, eng, w, m, wl, key)
+			return core.Exact.EstimateCell(ctx, eng, w, m, wl, key)
 		}, nil
 	}
 	return nil, fmt.Errorf("harness: unknown kernel %q", kernel)

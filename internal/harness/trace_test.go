@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/resilience"
 	"repro/internal/store"
-	"repro/internal/twin"
 )
 
 // newTracer returns a tracer writing into a buffer, and a func that
@@ -187,38 +187,39 @@ func TestTraceChainShapesUnderChaos(t *testing.T) {
 	}
 }
 
-// TestTraceEscalationEvents checks the estimator leg of the chain:
-// under an auto policy with a tolerance no family meets, every chain
-// carries an estimator/escalate event before its exact serve.
-func TestTraceEscalationEvents(t *testing.T) {
-	est, err := twin.Select("auto", 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestTraceEstimatorEvents checks the estimator leg of the chain:
+// every fig9 job evaluates its matrix on each Broadwell mode through
+// the exact estimator, so every chain carries one estimator/serve
+// "exact" event per mode.
+func TestTraceEstimatorEvents(t *testing.T) {
 	e, err := Get("fig9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := tiny
-	opt.Estimator = est
 	var events func() []obs.Event
 	opt.Trace, events = newTracer(t)
 	if _, err := e.Run(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
 	p := obs.AnalyzeTrace(events())
+	if len(p.Chains) == 0 {
+		t.Fatal("fig9 traced no chains")
+	}
+	modes := len(platform.Broadwell().Modes)
 	for _, c := range p.Chains {
-		if c.Escalations == 0 {
-			t.Fatalf("chain %s never escalated under a tolerance no family meets", c.Trace)
-		}
-		exact := false
+		n := 0
 		for _, ev := range c.Events {
-			if ev.Name == obs.EvEstimator && ev.Detail == "exact" {
-				exact = true
+			if ev.Name != obs.EvEstimator {
+				continue
 			}
+			if ev.Detail != "exact" {
+				t.Fatalf("chain %s served by estimator %q, want exact", c.Trace, ev.Detail)
+			}
+			n++
 		}
-		if !exact {
-			t.Fatalf("chain %s escalated but no exact serve followed", c.Trace)
+		if n != modes {
+			t.Fatalf("chain %s carries %d exact estimator events, want one per mode (%d)", c.Trace, n, modes)
 		}
 	}
 }

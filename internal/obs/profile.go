@@ -27,13 +27,12 @@ type JobChain struct {
 	StoreNS   int64 // sum of store lookup/commit durations
 	ComputeNS int64 // busy time minus backoff and store time
 
-	Attempts    int // resilient attempts started
-	Retries     int // backoff sleeps taken
-	Faults      int // injected fault fires
-	Escalations int // twin→exact escalations
-	CacheHit    bool
-	Failed      bool
-	Detail      string // error text when Failed
+	Attempts int // resilient attempts started
+	Retries  int // backoff sleeps taken
+	Faults   int // injected fault fires
+	CacheHit bool
+	Failed   bool
+	Detail   string // error text when Failed
 
 	Events []Event
 }
@@ -110,8 +109,6 @@ func AnalyzeTrace(events []Event) *TraceProfile {
 			c.BackoffNS += ev.DurNS
 		case EvFault:
 			c.Faults++
-		case EvEscalate:
-			c.Escalations++
 		case EvStoreHit:
 			c.CacheHit = true
 			c.StoreNS += ev.DurNS

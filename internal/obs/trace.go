@@ -2,8 +2,8 @@ package obs
 
 // This file is the causal per-job event tracer: where the metrics
 // registry aggregates (how many retries happened), the tracer keeps
-// the chain (THIS job retried after THIS fault, then escalated to the
-// exact estimator, then committed to the store). Every sweep job emits
+// the chain (THIS job retried after THIS fault, then passed its gate,
+// then committed to the store). Every sweep job emits
 // a monotonically-timestamped event chain — enqueue, queue wait,
 // dispatch, attempts, retries, breaker decisions, fault fires,
 // estimator choice, validation gate, store lookup/commit — as one JSON
@@ -53,20 +53,19 @@ import (
 // covers Emit/TraceEvent call sites); cmd/opmprof's phase attribution
 // keys on them.
 const (
-	EvEnqueue     = "job/enqueue"        // job submitted to a sweep (worker -1)
-	EvDispatch    = "job/dispatch"       // worker picked the job up (TS − enqueue TS = queue wait)
-	EvAttempt     = "job/attempt"        // one resilient attempt started (detail: attempt number)
-	EvRetry       = "job/retry_backoff"  // backoff sleep before the next attempt (dur: planned backoff)
-	EvBreakerOpen = "job/breaker_open"   // circuit breaker tripped or short-circuited this job
-	EvDone        = "job/done"           // job finished successfully (dur: dispatch-to-done busy time)
-	EvError       = "job/error"          // job failed or was skipped (detail: error)
-	EvFault       = "fault/fire"         // chaos injector fired (detail: point:kind)
-	EvEstimator   = "estimator/serve"    // estimator choice (detail: exact | twin)
-	EvEscalate    = "estimator/escalate" // auto policy escalated twin→exact (detail: kernel family)
-	EvGate        = "gate/result"        // validation gate verdict (detail: ok | quarantine)
-	EvStoreHit    = "store/hit"          // cache lookup hit — job bypasses the pool (dur: lookup)
-	EvStoreMiss   = "store/miss"         // cache lookup missed — job will compute (dur: lookup)
-	EvStoreCommit = "store/commit"       // result checkpointed to the store (dur: commit)
+	EvEnqueue     = "job/enqueue"       // job submitted to a sweep (worker -1)
+	EvDispatch    = "job/dispatch"      // worker picked the job up (TS − enqueue TS = queue wait)
+	EvAttempt     = "job/attempt"       // one resilient attempt started (detail: attempt number)
+	EvRetry       = "job/retry_backoff" // backoff sleep before the next attempt (dur: planned backoff)
+	EvBreakerOpen = "job/breaker_open"  // circuit breaker tripped or short-circuited this job
+	EvDone        = "job/done"          // job finished successfully (dur: dispatch-to-done busy time)
+	EvError       = "job/error"         // job failed or was skipped (detail: error)
+	EvFault       = "fault/fire"        // chaos injector fired (detail: point:kind)
+	EvEstimator   = "estimator/serve"   // one machine evaluated by the estimator (detail: exact)
+	EvGate        = "gate/result"       // validation gate verdict (detail: ok | quarantine)
+	EvStoreHit    = "store/hit"         // cache lookup hit — job bypasses the pool (dur: lookup)
+	EvStoreMiss   = "store/miss"        // cache lookup missed — job will compute (dur: lookup)
+	EvStoreCommit = "store/commit"      // result checkpointed to the store (dur: commit)
 
 	// Serve-daemon request events (internal/serve). They share the
 	// cell's store-digest trace ID, so a request chain joins the batch
@@ -75,7 +74,6 @@ const (
 	EvServeHot  = "serve/hot_hit" // hot-set hit — served from memory, no disk, no pool (dur: lookup)
 	EvAdmit     = "serve/admit"   // admission granted (dur: queue wait, detail: class)
 	EvReject    = "serve/reject"  // admission rejected with 429 (detail: class)
-	EvRefine    = "serve/refine"  // background exact refinement committed (dur: compute)
 )
 
 // Event is one step of a job's causal chain.

@@ -188,14 +188,14 @@ func TestTraceContextPlumbing(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	ctx := WithTraceContext(context.Background(), tr, "id1", "matrix/x", 3)
-	TraceEvent(ctx, EvEstimator, "twin")
+	TraceEvent(ctx, EvEstimator, "exact")
 	TraceEventDur(ctx, EvStoreCommit, 2*time.Millisecond, "")
 	evs := readBack(t, tr, &buf)
 	if len(evs) != 2 {
 		t.Fatalf("emitted %d events, want 2", len(evs))
 	}
 	if evs[0].Trace != "id1" || evs[0].Job != "matrix/x" || evs[0].Worker != 3 ||
-		evs[0].Name != EvEstimator || evs[0].Detail != "twin" {
+		evs[0].Name != EvEstimator || evs[0].Detail != "exact" {
 		t.Fatalf("context identity lost: %+v", evs[0])
 	}
 	if evs[1].DurNS != int64(2*time.Millisecond) {
@@ -304,7 +304,7 @@ func TestWriteProm(t *testing.T) {
 }
 
 // TestAnalyzeTrace builds a synthetic two-job trace — one clean job,
-// one with a retry, a fault, a store commit and an escalation — and
+// one with a retry, a fault and a store commit — and
 // checks the reconstructed chains, phase attribution, critical path
 // and top-k ordering.
 func TestAnalyzeTrace(t *testing.T) {
@@ -318,8 +318,8 @@ func TestAnalyzeTrace(t *testing.T) {
 		{Seq: 7, TSNS: 140, Trace: "b", Name: EvFault, Job: "jb", Worker: 1, Detail: "job:transient"},
 		{Seq: 8, TSNS: 150, Trace: "b", Name: EvRetry, Job: "jb", Worker: 1, DurNS: 200, Detail: "boom"},
 		{Seq: 9, TSNS: 360, Trace: "b", Name: EvAttempt, Job: "jb", Worker: 1, Detail: "2"},
-		{Seq: 10, TSNS: 400, Trace: "a", Name: EvEstimator, Job: "ja", Worker: 0, Detail: "twin"},
-		{Seq: 11, TSNS: 420, Trace: "b", Name: EvEscalate, Job: "jb", Worker: 1, Detail: "sptrsv"},
+		{Seq: 10, TSNS: 400, Trace: "a", Name: EvEstimator, Job: "ja", Worker: 0, Detail: "exact"},
+		{Seq: 11, TSNS: 420, Trace: "b", Name: EvEstimator, Job: "jb", Worker: 1, Detail: "exact"},
 		{Seq: 12, TSNS: 500, Trace: "a", Name: EvDone, Job: "ja", Worker: 0, DurNS: 400},
 		{Seq: 13, TSNS: 600, Trace: "b", Name: EvStoreCommit, Job: "jb", Worker: 1, DurNS: 50},
 		{Seq: 14, TSNS: 700, Trace: "b", Name: EvDone, Job: "jb", Worker: 1, DurNS: 590},
@@ -341,7 +341,7 @@ func TestAnalyzeTrace(t *testing.T) {
 	if a.ComputeNS != 400 {
 		t.Fatalf("clean job compute = %d, want its 400ns busy time", a.ComputeNS)
 	}
-	if b.Retries != 1 || b.BackoffNS != 200 || b.Faults != 1 || b.Escalations != 1 {
+	if b.Retries != 1 || b.BackoffNS != 200 || b.Faults != 1 {
 		t.Fatalf("faulted chain: %+v", b)
 	}
 	if b.StoreNS != 50 || b.ComputeNS != 590-200-50 {

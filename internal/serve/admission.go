@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +15,7 @@ import (
 // reserved refill instant) or, when the queue is full, is rejected
 // with an OverloadError carrying the Retry-After hint. Classes are
 // independent buckets, so batch traffic cannot starve interactive
-// queries and background refinements cannot starve either.
+// queries.
 
 // ClassConfig is one admission class's token bucket.
 type ClassConfig struct {
@@ -29,14 +30,12 @@ type ClassConfig struct {
 }
 
 // DefaultClasses returns the admission classes the daemon starts
-// with. "interactive" is /v1/query's default, "batch" is /v1/sweep's,
-// and "refine" meters background twin-first refinements so they never
-// crowd out foreground traffic.
+// with. "interactive" is /v1/query's default and "batch" is
+// /v1/sweep's.
 func DefaultClasses() map[string]ClassConfig {
 	return map[string]ClassConfig{
 		"interactive": {Rate: 200, Burst: 50, Queue: 64},
 		"batch":       {Rate: 50, Burst: 16, Queue: 256},
-		"refine":      {Rate: 25, Burst: 8, Queue: 1024},
 	}
 }
 
@@ -54,7 +53,7 @@ func (e *OverloadError) Error() string {
 // bucket is one class's token bucket. nowNS and sleep are test seams.
 type bucket struct {
 	mu      sync.Mutex
-	rate    float64 // tokens per second (> 0)
+	rate    float64 // tokens per second (finite, > 0)
 	burst   float64
 	queue   int
 	tokens  float64
@@ -135,8 +134,11 @@ func newAdmission(classes map[string]ClassConfig) (*admission, error) {
 		if !validClassName(name) {
 			return nil, fmt.Errorf("serve: admission class name %q must be non-empty [a-z0-9_-] (it names the class's serve/latency metric)", name)
 		}
-		if c.Rate <= 0 {
-			return nil, fmt.Errorf("serve: admission class %q needs a positive rate, got %g", name, c.Rate)
+		// NaN fails every comparison, so "<= 0" lets it through to
+		// turn the tokens NaN on the first refill; +Inf makes every
+		// wait and Retry-After zero.
+		if !(c.Rate > 0) || math.IsInf(c.Rate, 1) {
+			return nil, fmt.Errorf("serve: admission class %q needs a finite positive rate, got %g", name, c.Rate)
 		}
 		if c.Burst < 1 {
 			c.Burst = 1

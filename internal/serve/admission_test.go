@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -177,14 +178,19 @@ func TestBucketCancelReturnsReservation(t *testing.T) {
 }
 
 func TestAdmissionClassValidation(t *testing.T) {
-	if _, err := newAdmission(map[string]ClassConfig{"x": {Rate: 0}}); err == nil {
-		t.Fatal("zero-rate class accepted")
+	// A NaN rate passes a "<= 0" check and turns the bucket's tokens
+	// to NaN on the first refill; +Inf makes every wait and Retry-After
+	// zero. Only finite positive rates are accepted.
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := newAdmission(map[string]ClassConfig{"x": {Rate: rate, Burst: 1, Queue: 1}}); err == nil {
+			t.Fatalf("class with rate %g accepted", rate)
+		}
 	}
 	a, err := newAdmission(nil) // defaults
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, class := range []string{"interactive", "batch", "refine"} {
+	for _, class := range []string{"interactive", "batch"} {
 		if _, ok := a.classes[class]; !ok {
 			t.Fatalf("default class %q missing", class)
 		}

@@ -9,10 +9,10 @@ import (
 )
 
 // Regression tests for the background-work context plumbing the
-// ctxflow check surfaced: batch sweep jobs and twin-first refinements
-// used to run under context.Background(), so a Drain that gave up left
-// them computing headless forever, and workerPool.run could block
-// waiting for a worker with no way to abandon the wait.
+// ctxflow check surfaced: async sweep jobs used to run under
+// context.Background(), so a Drain that gave up left them computing
+// headless forever, and workerPool.run could block waiting for a
+// worker with no way to abandon the wait.
 
 // TestWorkerPoolRunCancelledBeforeEnqueue proves a cancelled caller
 // never dispatches: fn must not run and no worker stays lent out.
@@ -33,8 +33,8 @@ func TestWorkerPoolRunCancelledBeforeEnqueue(t *testing.T) {
 
 // TestDrainInterruptedCancelsBase proves the leak fix: when Drain's
 // ctx expires with work still in flight, the server cancels its base
-// context so background sweeps and refinements stop at their next
-// context check instead of running forever.
+// context so background sweeps stop at their next context check
+// instead of running forever.
 func TestDrainInterruptedCancelsBase(t *testing.T) {
 	srv, err := New(Config{Registry: obs.NewRegistry(), Workers: 1})
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 
 // The catalog resolves a query onto the exact cell the batch figures
 // journal: same digest layout (harness.CellDigest), same compute path
-// (harness.CurveSpec.ComputeCell / Estimator.EstimateDense), same
+// (harness.CurveSpec.ComputeCell / core.Exact.EstimateDense), same
 // stored bytes — so a query warmed by an opmbench run is a store hit,
 // and a cell computed by the daemon warms later opmbench runs.
 
@@ -36,10 +36,6 @@ type QueryRequest struct {
 	N    int    `json:"n,omitempty"`
 	NB   int    `json:"nb,omitempty"`
 
-	// Estimator selects the answering policy: exact (default), twin,
-	// auto, or twin-first (answer from the twin within its calibrated
-	// bound, refine to exact in the background).
-	Estimator string `json:"estimator,omitempty"`
 	// Class is the admission class ("interactive" default here,
 	// "batch" on /v1/sweep).
 	Class string `json:"class,omitempty"`
@@ -52,14 +48,6 @@ type QueryResponse struct {
 	// Source is where the bytes came from: "hot" (memory), "store"
 	// (journal), or "computed".
 	Source string `json:"source"`
-	// Estimator is the mode that produced the served value.
-	Estimator string `json:"estimator"`
-	// Refined is false only for a provisional twin-first answer whose
-	// background exact computation has not landed yet.
-	Refined bool `json:"refined"`
-	// ErrBound is the calibrated family error bound a provisional
-	// answer carries (fraction; 0 when Refined).
-	ErrBound float64 `json:"err_bound,omitempty"`
 
 	GFlops    float64 `json:"gflops"`
 	AppGBs    float64 `json:"app_gbs,omitempty"` // curve cells: application-level GB/s
@@ -69,31 +57,22 @@ type QueryResponse struct {
 	Cell json.RawMessage `json:"cell"`
 }
 
-// cell is one resolved query target: enough identity to derive the
-// digest under any estimator, plus the compute and render hooks.
+// cell is one resolved query target: its store identity plus the
+// compute and render hooks.
 type cell struct {
-	family  string // store sweep family before estimator namespacing
+	family  string // store sweep family, also the provenance label Put records
 	cfgHash string
 	key     string
-	// kernelFamily is the twin calibration family (twin.Family input).
-	kernelName string
-	mode       memsim.Mode
+	kernel  string // kernel name; one circuit breaker per kernel family
 
-	compute func(ctx context.Context, w *sweep.Worker, est core.Estimator) (any, error)
+	compute func(ctx context.Context, w *sweep.Worker) (any, error)
 	render  func(data []byte, resp *QueryResponse) error
 }
 
-// digestFor returns the store digest of this cell under est —
-// estimator separation included, byte-compatible with the batch
-// sweeps' cacheFor.
-func (c *cell) digestFor(est core.Estimator) string {
-	return harness.CellDigest(est, c.family, c.cfgHash, c.key)
-}
-
-// expFor returns the provenance family label Put records (the
-// estimator-namespaced sweep family, as batch sweeps record it).
-func (c *cell) expFor(est core.Estimator) string {
-	return harness.CellFamilyID(est, c.family)
+// digest returns the store digest of this cell, byte-compatible with
+// the batch sweeps' store cache.
+func (c *cell) digest() string {
+	return harness.CellDigest(core.Exact, c.family, c.cfgHash, c.key)
 }
 
 // catalog caches per-platform curve specs with their config hashes
@@ -131,7 +110,7 @@ func (c *catalog) spec(platform string) (catalogSpec, error) {
 }
 
 // resolve maps a request onto its cell, validating platform, mode and
-// parameters. eng is the engine estimators run under.
+// parameters. eng is the engine the cell computes under.
 func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 	cs, err := c.spec(req.Platform)
 	if err != nil {
@@ -157,13 +136,12 @@ func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 		}
 		kernel, fp := req.Kernel, req.Footprint
 		return &cell{
-			family:     harness.CurveSweepID(kernel),
-			cfgHash:    cs.cfgHash,
-			key:        harness.CurveCellKey(fp),
-			kernelName: kernel,
-			mode:       mode,
-			compute: func(ctx context.Context, w *sweep.Worker, est core.Estimator) (any, error) {
-				return spec.ComputeCell(ctx, eng, w, est, kernel, fp)
+			family:  harness.CurveSweepID(kernel),
+			cfgHash: cs.cfgHash,
+			key:     harness.CurveCellKey(fp),
+			kernel:  kernel,
+			compute: func(ctx context.Context, w *sweep.Worker) (any, error) {
+				return spec.ComputeCell(ctx, eng, w, core.Exact, kernel, fp)
 			},
 			render: func(data []byte, resp *QueryResponse) error {
 				var pt harness.CurvePoint
@@ -192,14 +170,13 @@ func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 		}
 		j := core.DenseJob{Machine: mach, Kind: kind, N: req.N, NB: req.NB}
 		return &cell{
-			family:     harness.DenseSweepID,
-			cfgHash:    "",
-			key:        harness.DenseKey(j),
-			kernelName: kind.String(),
-			mode:       mode,
-			compute: func(ctx context.Context, w *sweep.Worker, est core.Estimator) (any, error) {
-				_ = w // dense cells are analytic; no pooled simulator involved
-				return est.EstimateDense(ctx, eng, j, core.DenseCellKey(j))
+			family:  harness.DenseSweepID,
+			cfgHash: "",
+			key:     harness.DenseKey(j),
+			kernel:  kind.String(),
+			compute: func(ctx context.Context, _ *sweep.Worker) (any, error) {
+				// Dense cells are analytic; no pooled simulator involved.
+				return core.Exact.EstimateDense(ctx, eng, j, core.DenseCellKey(j))
 			},
 			render: func(data []byte, resp *QueryResponse) error {
 				var r memsim.Result

@@ -36,7 +36,7 @@ func FuzzQueryRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got := c.digestFor(core.Exact)
+		got := c.digest()
 		if want := scratchDigest(t, req); got != want {
 			t.Fatalf("%+v resolves to digest %s, from scratch %s", req, got, want)
 		}
@@ -52,7 +52,7 @@ func FuzzQueryRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshalled request %s rejected: %v", again, err)
 		}
-		if d := c2.digestFor(core.Exact); d != got {
+		if d := c2.digest(); d != got {
 			t.Fatalf("re-marshalled request %s resolves to %s, want %s", again, d, got)
 		}
 	})

@@ -5,29 +5,11 @@ import (
 	"sync"
 )
 
-// hotEntry is one cached cell in the hot set: the verbatim store
-// payload plus the serving metadata the response renders from.
-type hotEntry struct {
-	// data is the cell's JSON exactly as the store journals it — a
-	// hot-set hit serves the same bytes a journal hit would.
-	data []byte
-	// estimator is the mode that produced data ("exact", "twin", ...).
-	estimator string
-	// provisional marks a twin-first answer parked under the exact
-	// digest while its background refinement runs. Provisional entries
-	// never reach the persistent store under that digest — the journal
-	// only ever holds twin values under twin digests and exact values
-	// under exact digests (DESIGN.md §11); the aliasing is confined to
-	// this in-memory layer and is labelled in every response.
-	provisional bool
-	// errBound is the calibrated family error bound a provisional
-	// answer carries (fraction, e.g. 0.054).
-	errBound float64
-}
-
 // hotSet is the in-memory LRU in front of the journal, keyed by store
-// content digests. Hits never touch disk or the worker pool. All
-// methods are safe for concurrent use.
+// content digests. Each entry is the cell's JSON exactly as the store
+// journals it, so a hot-set hit serves the same bytes a journal hit
+// would. Hits never touch disk or the worker pool. All methods are
+// safe for concurrent use.
 type hotSet struct {
 	mu    sync.Mutex
 	cap   int
@@ -37,7 +19,7 @@ type hotSet struct {
 
 type hotItem struct {
 	digest string
-	e      hotEntry
+	data   []byte
 }
 
 func newHotSet(capacity int) *hotSet {
@@ -47,37 +29,30 @@ func newHotSet(capacity int) *hotSet {
 	return &hotSet{cap: capacity, items: make(map[string]*list.Element), lru: list.New()}
 }
 
-// get returns the entry under digest, promoting it to most recently
-// used.
-func (h *hotSet) get(digest string) (hotEntry, bool) {
+// get returns the cell bytes under digest, promoting them to most
+// recently used.
+func (h *hotSet) get(digest string) ([]byte, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	el, ok := h.items[digest]
 	if !ok {
-		return hotEntry{}, false
+		return nil, false
 	}
 	h.lru.MoveToFront(el)
-	return el.Value.(*hotItem).e, true
+	return el.Value.(*hotItem).data, true
 }
 
-// add inserts or replaces the entry under digest and evicts from the
-// cold end past capacity. A refined (non-provisional) entry always
-// replaces a provisional one; a provisional entry never downgrades an
-// existing refined one — a twin-first race can only improve the cache.
-func (h *hotSet) add(digest string, e hotEntry) {
+// add inserts or replaces the cell bytes under digest and evicts from
+// the cold end past capacity.
+func (h *hotSet) add(digest string, data []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if el, ok := h.items[digest]; ok {
-		it := el.Value.(*hotItem)
-		if e.provisional && !it.e.provisional {
-			h.lru.MoveToFront(el)
-			return
-		}
-		it.e = e
+		el.Value.(*hotItem).data = data
 		h.lru.MoveToFront(el)
 		return
 	}
-	h.items[digest] = h.lru.PushFront(&hotItem{digest: digest, e: e})
+	h.items[digest] = h.lru.PushFront(&hotItem{digest: digest, data: data})
 	for h.lru.Len() > h.cap {
 		old := h.lru.Back()
 		h.lru.Remove(old)

@@ -8,13 +8,13 @@ import (
 func TestHotSetLRUEviction(t *testing.T) {
 	h := newHotSet(3)
 	for i := 0; i < 3; i++ {
-		h.add(fmt.Sprintf("d%d", i), hotEntry{data: []byte{byte(i)}})
+		h.add(fmt.Sprintf("d%d", i), []byte{byte(i)})
 	}
 	// Touch d0 so d1 becomes the cold end.
 	if _, ok := h.get("d0"); !ok {
 		t.Fatal("d0 missing before eviction")
 	}
-	h.add("d3", hotEntry{data: []byte{3}})
+	h.add("d3", []byte{3})
 	if _, ok := h.get("d1"); ok {
 		t.Fatal("d1 should have been evicted as least recently used")
 	}
@@ -29,29 +29,25 @@ func TestHotSetLRUEviction(t *testing.T) {
 }
 
 func TestHotSetReplaceSemantics(t *testing.T) {
-	// A refined entry always replaces a provisional one.
-	h := newHotSet(4)
-	h.add("d", hotEntry{data: []byte("twin"), estimator: "twin", provisional: true, errBound: 0.054})
-	h.add("d", hotEntry{data: []byte("exact"), estimator: "exact"})
-	e, ok := h.get("d")
-	if !ok || e.provisional || string(e.data) != "exact" {
-		t.Fatalf("refined entry did not replace provisional: %+v", e)
+	// A second add under a digest replaces its bytes in place and makes
+	// it most recently used; the entry count does not grow.
+	h := newHotSet(2)
+	h.add("a", []byte("old"))
+	h.add("b", []byte("b"))
+	h.add("a", []byte("new"))
+	if data, ok := h.get("a"); !ok || string(data) != "new" {
+		t.Fatalf("replaced entry = %q (present %v), want \"new\"", data, ok)
 	}
-
-	// A provisional entry never downgrades an existing refined one.
-	h.add("d", hotEntry{data: []byte("twin"), estimator: "twin", provisional: true, errBound: 0.054})
-	e, _ = h.get("d")
-	if e.provisional || string(e.data) != "exact" {
-		t.Fatalf("provisional entry downgraded refined one: %+v", e)
+	if h.len() != 2 {
+		t.Fatalf("len = %d after replace, want 2", h.len())
 	}
-
-	// A provisional entry may replace another provisional entry.
-	h2 := newHotSet(4)
-	h2.add("d", hotEntry{data: []byte("a"), provisional: true, errBound: 0.2})
-	h2.add("d", hotEntry{data: []byte("b"), provisional: true, errBound: 0.1})
-	e, _ = h2.get("d")
-	if !e.provisional || string(e.data) != "b" || e.errBound != 0.1 {
-		t.Fatalf("provisional-over-provisional replace failed: %+v", e)
+	// The replace promoted a, so b is the cold end.
+	h.add("c", []byte("c"))
+	if _, ok := h.get("b"); ok {
+		t.Fatal("b survived eviction; the replace did not promote a")
+	}
+	if _, ok := h.get("a"); !ok {
+		t.Fatal("a evicted after its replace promoted it")
 	}
 }
 

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -29,14 +27,14 @@ func TestServeClassLatencyHistograms(t *testing.T) {
 	}
 	h := srv.Handler()
 
-	// Pre-registration: all three default classes are on /metrics/prom
+	// Pre-registration: both default classes are on /metrics/prom
 	// before any request, each with a zero count.
 	w := getPath(t, h, "/metrics/prom")
 	if w.Code != http.StatusOK {
 		t.Fatalf("prom scrape status %d", w.Code)
 	}
 	body := w.Body.String()
-	for _, class := range []string{"interactive", "batch", "refine"} {
+	for _, class := range []string{"interactive", "batch"} {
 		mn := "opm_serve_latency_" + class + "_seconds"
 		if !strings.Contains(body, mn+"_count 0") {
 			t.Fatalf("first scrape missing pre-registered %s_count 0:\n%s", mn, body)
@@ -61,35 +59,6 @@ func TestServeClassLatencyHistograms(t *testing.T) {
 	}
 	if _, ok := reg.Snapshot().Histograms["serve/latency/interactiv"]; ok {
 		t.Fatal("client-supplied class minted a histogram name")
-	}
-}
-
-// TestServeRefineClassLatency checks the background refinement path
-// reports into serve/latency/refine — the class a dashboard watches to
-// see twin-first debt being paid down.
-func TestServeRefineClassLatency(t *testing.T) {
-	reg := obs.NewRegistry()
-	st, err := store.Open(t.TempDir(), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srv, err := New(Config{Store: st, Registry: reg, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-
-	q := QueryRequest{Platform: "broadwell", Mode: "edram", Kernel: "Stream",
-		Footprint: 1 << 20, Estimator: "twin-first"}
-	decodeQuery(t, postQuery(t, h, "/v1/query", q))
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := srv.WaitRefinements(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Histogram("serve/latency/refine").Count(); n != 1 {
-		t.Fatalf("serve/latency/refine count = %d, want 1", n)
 	}
 }
 

@@ -16,14 +16,8 @@
 // sweep.Run — the runner batch sweeps use, with one circuit breaker
 // per kernel family. Computed cells are journaled under the same
 // digests the batch sweeps use, so the daemon and opmbench warm each
-// other.
-//
-// Twin-first answering ("estimator": "twin-first") responds from the
-// analytic twin within its calibrated error bound and enqueues the
-// exact computation in the background; once the refinement commits,
-// the same digest serves the exact value. Provisional answers live
-// only in the hot set, flagged — the journal never aliases twin bytes
-// under an exact digest (DESIGN.md §11).
+// other. Every cell is the exact one (core.Exact): a cold query waits
+// for its computation.
 package serve
 
 import (
@@ -34,17 +28,16 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/sweep"
-	"repro/internal/twin"
 )
 
 // Config assembles a Server. Zero values select sane defaults; only
@@ -68,13 +61,10 @@ type Config struct {
 	// Classes overrides the admission classes (default
 	// DefaultClasses).
 	Classes map[string]ClassConfig
-	// TwinMaxErr is the auto estimator's tolerance (default 0.10).
-	TwinMaxErr float64
-	// BaseContext is the root context background work — batch sweep
-	// jobs and twin-first refinements — runs under. The server derives
-	// a cancellable child from it, cancelled when Drain gives up, so an
-	// interrupted drain never strands headless goroutines computing
-	// forever. Nil means a process-lifetime root.
+	// BaseContext is the root context async sweep jobs run under. The
+	// server derives a cancellable child from it, cancelled when Drain
+	// gives up, so an interrupted drain never strands headless
+	// goroutines computing forever. Nil means a process-lifetime root.
 	BaseContext context.Context
 }
 
@@ -89,14 +79,8 @@ type Server struct {
 	pool *workerPool
 	cat  *catalog
 
-	estimators map[string]core.Estimator
-	bounds     map[string]float64 // twin.Family → calibrated MAPE
-
 	breakerMu sync.Mutex
 	breakers  map[string]*resilience.Breaker // per kernel family
-
-	refineMu sync.Mutex
-	refining map[string]bool // exact digests with a refinement in flight
 
 	jobs *jobTable
 
@@ -104,9 +88,9 @@ type Server struct {
 	draining atomic.Bool
 	inflight sync.WaitGroup
 
-	// base is the detached context background work (sweep jobs,
-	// refinements) runs under; cancelBase fires when a drain is
-	// interrupted so that work stops instead of leaking.
+	// base is the detached context async sweep jobs run under;
+	// cancelBase fires when a drain is interrupted so that work stops
+	// instead of leaking.
 	base       context.Context
 	cancelBase context.CancelFunc
 
@@ -123,30 +107,15 @@ func New(cfg Config) (*Server, error) {
 	if workers <= 0 {
 		workers = 4
 	}
-	maxErr := cfg.TwinMaxErr
-	if maxErr <= 0 {
-		maxErr = 0.10
-	}
-	auto, err := twin.Select("auto", maxErr)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
-		st:  cfg.Store,
-		reg: cfg.Registry,
-		tr:  cfg.Tracer,
-		eng: &sweep.Engine{Obs: cfg.Registry, Trace: cfg.Tracer, Policy: cfg.Policy},
-		hot: newHotSet(cfg.HotSet),
-		adm: adm,
-		cat: newCatalog(),
-		estimators: map[string]core.Estimator{
-			"exact": core.Exact,
-			"twin":  twin.Estimator{},
-			"auto":  auto,
-		},
-		bounds:   map[string]float64{},
+		st:       cfg.Store,
+		reg:      cfg.Registry,
+		tr:       cfg.Tracer,
+		eng:      &sweep.Engine{Obs: cfg.Registry, Trace: cfg.Tracer, Policy: cfg.Policy},
+		hot:      newHotSet(cfg.HotSet),
+		adm:      adm,
+		cat:      newCatalog(),
 		breakers: map[string]*resilience.Breaker{},
-		refining: map[string]bool{},
 		jobs:     newJobTable(64),
 		startNS:  nowNS(),
 	}
@@ -155,9 +124,6 @@ func New(cfg Config) (*Server, error) {
 		base = context.Background() //opmlint:allow ctxflow — the daemon's process-lifetime root when the owner injects no BaseContext; Drain cancels the derived child
 	}
 	s.base, s.cancelBase = context.WithCancel(base)
-	for fam, b := range twin.DefaultBounds() {
-		s.bounds[fam] = b
-	}
 	// Pre-register every class's SLO histogram so /metrics/prom carries
 	// the full class roster from the first scrape, not on first traffic.
 	for _, name := range adm.names() {
@@ -222,9 +188,9 @@ func (s *Server) begin() bool {
 func (s *Server) done() { s.inflight.Done() }
 
 // Drain gracefully shuts serving down: new requests are rejected with
-// 503 and every accepted request (including queued admissions, batch
-// jobs, and background refinements) runs to completion. ctx bounds the
-// wait. Idempotent.
+// 503 and every accepted request (including queued admissions and
+// async sweep jobs) runs to completion. ctx bounds the wait.
+// Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	first := !s.draining.Load()
@@ -242,9 +208,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-doneC:
 	case <-ctx.Done():
 		// Giving up on the wait must not strand the work: cancel the
-		// base context so batch jobs and refinements running under it
-		// stop at their next context check instead of computing
-		// headless forever.
+		// base context so sweep jobs running under it stop at their
+		// next context check instead of computing headless forever.
 		s.cancelBase()
 		return fmt.Errorf("serve: drain interrupted with work in flight: %w", ctx.Err())
 	}
@@ -302,79 +267,50 @@ func (s *Server) answer(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	defer func() {
 		s.observeClass(req.Class, time.Duration(nowNS()-start))
 	}()
-	estName := req.Estimator
-	if estName == "" {
-		estName = "exact"
-	}
-	twinFirst := estName == "twin-first"
-	canonical := estName
-	if twinFirst {
-		canonical = "exact"
-	}
-	est, ok := s.estimators[canonical]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown estimator %q (want exact, twin, auto or twin-first)", estName)
-	}
 	c, err := s.cat.resolve(req, s.eng)
 	if err != nil {
 		return nil, err
 	}
-	digest := c.digestFor(est)
+	digest := c.digest()
 	traceID := harness.CellTraceID(digest)
-	traceKey := c.expFor(est) + "/" + c.key
+	traceKey := c.family + "/" + c.key
 	s.tr.Emit(traceID, obs.EvServeRecv, traceKey, -1, 0, "query|"+req.Class)
 
 	// Layer 1: the hot set. Hits never touch disk or the pool.
 	lookStart := nowNS()
-	if e, ok := s.hot.get(digest); ok {
+	if data, ok := s.hot.get(digest); ok {
 		s.reg.Counter("serve/hits").Inc()
-		s.tr.Emit(traceID, obs.EvServeHot, traceKey, -1, time.Duration(nowNS()-lookStart), e.estimator)
-		return s.respond(c, digest, traceID, "hot", e)
+		s.tr.Emit(traceID, obs.EvServeHot, traceKey, -1, time.Duration(nowNS()-lookStart), "")
+		return s.respond(c, digest, traceID, "hot", data)
 	}
 	s.reg.Counter("serve/misses").Inc()
 
 	// Layer 2: the journal. Hits promote into the hot set.
 	if data, ok := s.st.GetRaw(digest); ok {
 		s.reg.Counter("serve/store_hits").Inc()
-		e := hotEntry{data: data, estimator: canonical}
-		s.hot.add(digest, e)
+		s.hot.add(digest, data)
 		s.tr.Emit(traceID, obs.EvStoreHit, traceKey, -1, time.Duration(nowNS()-lookStart), "serve")
-		return s.respond(c, digest, traceID, "store", e)
-	}
-
-	// Twin-first: answer from the twin inside its calibrated bound and
-	// refine to exact in the background.
-	if twinFirst {
-		if bound, ok := s.bounds[twin.Family(c.kernelName)]; ok {
-			return s.answerTwinFirst(ctx, req, c, digest, traceID, traceKey, bound)
-		}
-		// No calibrated bound to honor — fall through to sync exact.
+		return s.respond(c, digest, traceID, "store", data)
 	}
 
 	// Layers 3–5: admission, worker pool, compute.
-	data, err := s.computeCell(ctx, c, est, digest, traceID, traceKey, req.Class)
+	data, err := s.computeCell(ctx, c, digest, traceID, traceKey, req.Class)
 	if err != nil {
 		return nil, err
 	}
-	e := hotEntry{data: data, estimator: canonical}
-	s.hot.add(digest, e)
-	return s.respond(c, digest, traceID, "computed", e)
+	s.hot.add(digest, data)
+	return s.respond(c, digest, traceID, "computed", data)
 }
 
 // respond renders a response from a cell's stored bytes.
-func (s *Server) respond(c *cell, digest, traceID, source string, e hotEntry) (*QueryResponse, error) {
+func (s *Server) respond(c *cell, digest, traceID, source string, data []byte) (*QueryResponse, error) {
 	resp := &QueryResponse{
-		Digest:    digest,
-		Trace:     traceID,
-		Source:    source,
-		Estimator: e.estimator,
-		Refined:   !e.provisional,
-		Cell:      json.RawMessage(e.data),
+		Digest: digest,
+		Trace:  traceID,
+		Source: source,
+		Cell:   json.RawMessage(data),
 	}
-	if e.provisional {
-		resp.ErrBound = e.errBound
-	}
-	if err := c.render(e.data, resp); err != nil {
+	if err := c.render(data, resp); err != nil {
 		s.reg.Counter("serve/errors").Inc()
 		return nil, err
 	}
@@ -402,7 +338,7 @@ func (s *Server) admit(ctx context.Context, class, traceID, traceKey string) err
 // under the resilience policy, journal, and return the cell's canonical
 // bytes. It emits the same enqueue→dispatch→done chain shape batch
 // sweeps emit, so opmprof reads serve chains natively.
-func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, digest, traceID, traceKey, class string) ([]byte, error) {
+func (s *Server) computeCell(ctx context.Context, c *cell, digest, traceID, traceKey, class string) ([]byte, error) {
 	if err := s.admit(ctx, class, traceID, traceKey); err != nil {
 		return nil, err
 	}
@@ -417,7 +353,7 @@ func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, d
 		s.tr.Emit(traceID, obs.EvDispatch, traceKey, w.ID(), 0, "")
 		cctx := obs.WithTraceContext(ctx, s.tr, traceID, traceKey, w.ID())
 		var v any
-		v, err = s.evalWithPolicy(cctx, c, est, w, digest)
+		v, err = s.evalWithPolicy(cctx, c, w, digest)
 		if err != nil {
 			s.tr.Emit(traceID, obs.EvError, traceKey, w.ID(), 0, err.Error())
 			return
@@ -430,7 +366,7 @@ func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, d
 		if s.st != nil {
 			commit := nowNS()
 			//opmlint:allow ctxflow — a journal append must complete once begun; a frame torn by cancellation is exactly the corruption the store guards against
-			if perr := s.st.Put(digest, c.expFor(est), c.key, json.RawMessage(data)); perr != nil {
+			if perr := s.st.Put(digest, c.family, c.key, json.RawMessage(data)); perr != nil {
 				// A failed checkpoint must slow serving down, never
 				// kill it — same contract as the batch sweeps.
 				s.reg.Counter("serve/commit_errors").Inc()
@@ -459,9 +395,11 @@ func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, d
 // containment, the "job" chaos point, per-attempt deadline, retry with
 // backoff, and the kernel family's circuit breaker. The cell digest is
 // the job key.
-func (s *Server) evalWithPolicy(ctx context.Context, c *cell, est core.Estimator, w *sweep.Worker, digest string) (any, error) {
-	family := twin.Family(c.kernelName)
-	v, err := sweep.Run(ctx, s.eng, s.breaker(family), w, digest, est, c.compute)
+func (s *Server) evalWithPolicy(ctx context.Context, c *cell, w *sweep.Worker, digest string) (any, error) {
+	family := strings.ToLower(c.kernel)
+	v, err := sweep.Run(ctx, s.eng, s.breaker(family), w, digest, c, func(ctx context.Context, w *sweep.Worker, c *cell) (any, error) {
+		return c.compute(ctx, w)
+	})
 	if errors.Is(err, resilience.ErrBreakerOpen) {
 		err = fmt.Errorf("serve: family %s: %w", family, err)
 	}
@@ -480,107 +418,6 @@ func (s *Server) breaker(family string) *resilience.Breaker {
 		s.breakers[family] = br
 	}
 	return br
-}
-
-// answerTwinFirst serves the provisional twin answer inline and
-// enqueues the exact refinement. The twin value is journaled under its
-// own twin digest (it is a legitimate twin cell); only the hot set
-// holds it under the exact digest, flagged provisional.
-func (s *Server) answerTwinFirst(ctx context.Context, req QueryRequest, c *cell, exactDigest, traceID, traceKey string, bound float64) (*QueryResponse, error) {
-	if err := s.admit(ctx, req.Class, traceID, traceKey); err != nil {
-		return nil, err
-	}
-	twinEst := s.estimators["twin"]
-	twinDigest := c.digestFor(twinEst)
-
-	// The twin is analytic — microseconds, no pooled simulator — so it
-	// runs inline on the request goroutine.
-	data, ok := s.st.GetRaw(twinDigest)
-	if !ok {
-		cctx := obs.WithTraceContext(ctx, s.tr, traceID, traceKey, -1)
-		v, err := c.compute(cctx, nil, twinEst)
-		if err != nil {
-			s.reg.Counter("serve/errors").Inc()
-			return nil, err
-		}
-		data, err = json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("serve: encoding twin cell: %w", err)
-		}
-		if s.st != nil {
-			//opmlint:allow ctxflow — a journal append must complete once begun; a frame torn by cancellation is exactly the corruption the store guards against
-			if perr := s.st.Put(twinDigest, c.expFor(twinEst), c.key, json.RawMessage(data)); perr != nil {
-				s.reg.Counter("serve/commit_errors").Inc()
-			}
-		}
-	}
-	s.reg.Counter("serve/computed").Inc()
-	e := hotEntry{data: data, estimator: "twin", provisional: true, errBound: bound}
-	s.hot.add(exactDigest, e)
-	s.spawnRefinement(req, c, exactDigest, traceID, traceKey)
-	return s.respond(c, exactDigest, traceID, "computed", e)
-}
-
-// spawnRefinement starts (at most one) background exact computation
-// for an exact digest. The refinement holds a drain slot, admits under
-// the "refine" class, computes through the pool, journals under the
-// exact digest, and replaces the provisional hot-set entry — after
-// which the same digest serves the exact value.
-func (s *Server) spawnRefinement(req QueryRequest, c *cell, exactDigest, traceID, traceKey string) {
-	s.refineMu.Lock()
-	if s.refining[exactDigest] {
-		s.refineMu.Unlock()
-		return
-	}
-	s.refining[exactDigest] = true
-	s.refineMu.Unlock()
-	if !s.begin() {
-		// Draining: the provisional answer stands; no refinement is
-		// accepted (and none was promised to the caller).
-		s.refineMu.Lock()
-		delete(s.refining, exactDigest)
-		s.refineMu.Unlock()
-		return
-	}
-	go func() {
-		defer s.done()
-		defer func() {
-			s.refineMu.Lock()
-			delete(s.refining, exactDigest)
-			s.refineMu.Unlock()
-		}()
-		start := nowNS()
-		// The request that triggered the refinement may be long gone;
-		// the refinement runs under the server's base context instead,
-		// so an interrupted Drain can still cancel it.
-		data, err := s.computeCell(s.base, c, s.estimators["exact"],
-			exactDigest, traceID, traceKey, "refine")
-		s.observeClass("refine", time.Duration(nowNS()-start))
-		if err != nil {
-			s.reg.Counter("serve/refine_errors").Inc()
-			return
-		}
-		s.hot.add(exactDigest, hotEntry{data: data, estimator: "exact"})
-		s.reg.Counter("serve/refinements").Inc()
-		s.tr.Emit(traceID, obs.EvRefine, traceKey, -1, time.Duration(nowNS()-start), "committed")
-	}()
-}
-
-// WaitRefinements blocks until no refinement is in flight — a test
-// and shutdown hook (Drain also waits for them via the inflight
-// group).
-func (s *Server) WaitRefinements(ctx context.Context) error {
-	for {
-		s.refineMu.Lock()
-		n := len(s.refining)
-		s.refineMu.Unlock()
-		if n == 0 {
-			return nil
-		}
-		if err := sleepCtx(ctx, 2*time.Millisecond); err != nil {
-			return err
-		}
-	}
 }
 
 // handleHealthz reports liveness; a draining daemon answers 503 so

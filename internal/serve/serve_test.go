@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/sweep"
-	"repro/internal/twin"
 )
 
 // postQuery drives one request through the daemon's real mux.
@@ -51,8 +50,8 @@ func decodeQuery(t *testing.T, w *httptest.ResponseRecorder) *QueryResponse {
 	return &resp
 }
 
-// syncBuffer is a mutex-guarded trace sink: the daemon's background
-// refinements may still be emitting while a test reads it.
+// syncBuffer is a mutex-guarded trace sink: the daemon's async sweep
+// jobs may still be emitting while a test reads it.
 type syncBuffer struct {
 	mu  sync.Mutex
 	buf bytes.Buffer
@@ -132,8 +131,8 @@ func TestServeColdThenHotThenStore(t *testing.T) {
 	const fp = int64(1 << 20)
 	q := QueryRequest{Platform: "broadwell", Mode: "edram", Kernel: "Stream", Footprint: fp}
 	r1 := decodeQuery(t, postQuery(t, h, "/v1/query", q))
-	if r1.Source != "computed" || !r1.Refined || r1.Estimator != "exact" {
-		t.Fatalf("cold answer = source %q estimator %q refined %v", r1.Source, r1.Estimator, r1.Refined)
+	if r1.Source != "computed" {
+		t.Fatalf("cold answer source %q, want computed", r1.Source)
 	}
 	if r1.GFlops <= 0 || r1.AppGBs <= 0 || r1.Footprint <= 0 {
 		t.Fatalf("cold answer rendered empty cell: %+v", r1)
@@ -233,9 +232,9 @@ func TestServeColdThenHotThenStore(t *testing.T) {
 
 // TestServeAnswersBatchJournaledCells proves the batch half of
 // acceptance (b): cells journaled by a real opmbench figure run (fig12
-// through harness.Get, here under the analytic twin so the sweep runs
-// in milliseconds) are store hits for the daemon at every footprint of
-// the figure's grid, byte-for-byte.
+// through harness.Get, on a four-point footprint grid) are store hits
+// for the daemon at every footprint of the figure's grid,
+// byte-for-byte.
 func TestServeAnswersBatchJournaledCells(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := store.Open(t.TempDir(), reg)
@@ -244,7 +243,7 @@ func TestServeAnswersBatchJournaledCells(t *testing.T) {
 	}
 	defer st.Close()
 
-	opt := harness.Options{Store: st, Estimator: twin.Estimator{}, CurvePoints: 4, Workers: 2}
+	opt := harness.Options{Store: st, CurvePoints: 4, Workers: 2}
 	exp, err := harness.Get("fig12") // Stream on Broadwell
 	if err != nil {
 		t.Fatal(err)
@@ -263,14 +262,13 @@ func TestServeAnswersBatchJournaledCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fp := range spec.Footprints(opt) {
-		q := QueryRequest{Platform: "broadwell", Mode: "ddr", Kernel: "Stream",
-			Footprint: fp, Estimator: "twin"}
+		q := QueryRequest{Platform: "broadwell", Mode: "ddr", Kernel: "Stream", Footprint: fp}
 		resp := decodeQuery(t, postQuery(t, h, "/v1/query", q))
 		if resp.Source != "store" {
 			t.Fatalf("fp %d: source %q, want store hit on the batch-journaled cell", fp, resp.Source)
 		}
-		if resp.Estimator != "twin" || resp.GFlops <= 0 {
-			t.Fatalf("fp %d: estimator %q gflops %g", fp, resp.Estimator, resp.GFlops)
+		if resp.GFlops <= 0 {
+			t.Fatalf("fp %d: gflops %g", fp, resp.GFlops)
 		}
 		raw, ok := st.GetRaw(resp.Digest)
 		if !ok || !bytes.Equal(raw, resp.Cell) {
@@ -384,91 +382,6 @@ func TestServeGracefulDrainLosesNothing(t *testing.T) {
 	}
 }
 
-// TestServeTwinFirstRefines proves acceptance (d): a twin-first answer
-// carries the family's calibrated error bound and is flagged
-// unrefined; the journal holds the twin value only under its own twin
-// digest; after the background refinement commits, the same exact
-// digest serves the exact value, refined.
-func TestServeTwinFirstRefines(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr, events := newTracer(t)
-	st, err := store.Open(t.TempDir(), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srv, err := New(Config{Store: st, Registry: reg, Tracer: tr, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-
-	const fp = int64(1 << 20)
-	q := QueryRequest{Platform: "broadwell", Mode: "edram", Kernel: "Stream",
-		Footprint: fp, Estimator: "twin-first"}
-	r1 := decodeQuery(t, postQuery(t, h, "/v1/query", q))
-	if r1.Source != "computed" || r1.Estimator != "twin" || r1.Refined {
-		t.Fatalf("twin-first answer = source %q estimator %q refined %v", r1.Source, r1.Estimator, r1.Refined)
-	}
-	if want := twin.DefaultBounds()[twin.Family("Stream")]; r1.ErrBound != want {
-		t.Fatalf("err_bound %g, want calibrated stream bound %g", r1.ErrBound, want)
-	}
-
-	spec, err := harness.NewCurveSpec("broadwell")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactDigest := harness.CellDigest(core.Exact, harness.CurveSweepID("Stream"),
-		spec.ConfigHash(), harness.CurveCellKey(fp))
-	twinDigest := harness.CellDigest(twin.Estimator{}, harness.CurveSweepID("Stream"),
-		spec.ConfigHash(), harness.CurveCellKey(fp))
-	if r1.Digest != exactDigest {
-		t.Fatalf("twin-first answered under %q, want the exact digest %q", r1.Digest, exactDigest)
-	}
-	if twinDigest == exactDigest {
-		t.Fatal("estimator separation lost: twin and exact digests collide")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := srv.WaitRefinements(ctx); err != nil {
-		t.Fatalf("refinement never finished: %v", err)
-	}
-	if v := reg.Counter("serve/refinements").Value(); v != 1 {
-		t.Fatalf("serve/refinements = %d, want 1", v)
-	}
-
-	// DESIGN §11: the journal holds the twin bytes under the twin
-	// digest and the exact bytes under the exact digest — never aliased.
-	twinRaw, ok := st.GetRaw(twinDigest)
-	if !ok || !bytes.Equal(twinRaw, r1.Cell) {
-		t.Fatal("twin value not journaled under its own twin digest")
-	}
-	exactRaw, ok := st.GetRaw(exactDigest)
-	if !ok {
-		t.Fatal("refinement did not journal the exact cell")
-	}
-	if bytes.Equal(exactRaw, twinRaw) {
-		t.Fatal("exact digest holds twin bytes")
-	}
-
-	// The same digest now serves the exact value, refined.
-	r2 := decodeQuery(t, postQuery(t, h, "/v1/query", q))
-	if r2.Digest != r1.Digest {
-		t.Fatalf("refined answer moved digests: %q → %q", r1.Digest, r2.Digest)
-	}
-	if r2.Source != "hot" || r2.Estimator != "exact" || !r2.Refined || r2.ErrBound != 0 {
-		t.Fatalf("post-refinement answer = source %q estimator %q refined %v bound %g",
-			r2.Source, r2.Estimator, r2.Refined, r2.ErrBound)
-	}
-	if !bytes.Equal(r2.Cell, exactRaw) {
-		t.Fatal("post-refinement answer differs from the journaled exact cell")
-	}
-	if names := traceNames(events(), r1.Trace, 0); names[obs.EvRefine] != 1 {
-		t.Fatalf("refinement chain missing %s: %v", obs.EvRefine, names)
-	}
-}
-
 // TestServeSweepJobs covers the async batch endpoint: accepted sweeps
 // answer every cell through the same serving path and report through
 // the job table; unknown jobs 404.
@@ -536,7 +449,9 @@ func TestServeSweepJobs(t *testing.T) {
 
 // TestServeStrictBodies: a query or sweep body with anything but
 // whitespace after its JSON value, or with a field the request types
-// do not name, is refused with 400 before it is answered.
+// do not name, is refused with 400 before it is answered. That covers
+// "estimator", a field the query API no longer has: every cell is
+// exact.
 func TestServeStrictBodies(t *testing.T) {
 	srv, err := New(Config{Workers: 1})
 	if err != nil {
@@ -554,6 +469,8 @@ func TestServeStrictBodies(t *testing.T) {
 		"sweep trailing text": {"/v1/sweep", `{"queries":[` + dense + `]} this is not json`, http.StatusBadRequest},
 		"sweep unknown field": {"/v1/sweep", `{"queries":[` + dense + `],"klass":"batch"}`, http.StatusBadRequest},
 		"sweep query field":   {"/v1/sweep", `{"queries":[{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nbb":7}]}`, http.StatusBadRequest},
+		"twin-first field":    {"/v1/query", `{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256,"estimator":"twin-first"}`, http.StatusBadRequest},
+		"exact field":         {"/v1/query", `{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256,"estimator":"exact"}`, http.StatusBadRequest},
 		"trailing newline":    {"/v1/query", dense + "\n", http.StatusOK},
 		"surrounding spaces":  {"/v1/query", " \t" + dense + " \r\n ", http.StatusOK},
 	} {
@@ -577,14 +494,13 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	h := srv.Handler()
 	for name, q := range map[string]QueryRequest{
-		"unknown estimator": {Platform: "broadwell", Mode: "ddr", Kernel: "Stream", Footprint: 1 << 20, Estimator: "psychic"},
-		"unknown platform":  {Platform: "vax", Mode: "ddr", Kernel: "Stream", Footprint: 1 << 20},
-		"wrong mode":        {Platform: "broadwell", Mode: "flat", Kernel: "Stream", Footprint: 1 << 20},
-		"no footprint":      {Platform: "broadwell", Mode: "ddr", Kernel: "Stream"},
-		"both families":     {Platform: "broadwell", Mode: "ddr", Kernel: "Stream", Footprint: 1 << 20, Kind: "GEMM", N: 512, NB: 128},
-		"neither family":    {Platform: "broadwell", Mode: "ddr"},
-		"bad blocking":      {Platform: "broadwell", Mode: "ddr", Kind: "GEMM", N: 128, NB: 512},
-		"unknown class":     {Platform: "broadwell", Mode: "ddr", Kind: "GEMM", N: 512, NB: 128, Class: "vip"},
+		"unknown platform": {Platform: "vax", Mode: "ddr", Kernel: "Stream", Footprint: 1 << 20},
+		"wrong mode":       {Platform: "broadwell", Mode: "flat", Kernel: "Stream", Footprint: 1 << 20},
+		"no footprint":     {Platform: "broadwell", Mode: "ddr", Kernel: "Stream"},
+		"both families":    {Platform: "broadwell", Mode: "ddr", Kernel: "Stream", Footprint: 1 << 20, Kind: "GEMM", N: 512, NB: 128},
+		"neither family":   {Platform: "broadwell", Mode: "ddr"},
+		"bad blocking":     {Platform: "broadwell", Mode: "ddr", Kind: "GEMM", N: 128, NB: 512},
+		"unknown class":    {Platform: "broadwell", Mode: "ddr", Kind: "GEMM", N: 512, NB: 128, Class: "vip"},
 	} {
 		if w := postQuery(t, h, "/v1/query", q); w.Code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400 (%s)", name, w.Code, w.Body)

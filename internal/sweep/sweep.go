@@ -178,7 +178,7 @@ func NewWorker(id int) *Worker { return &Worker{id: id, pool: map[any]any{}} }
 // Get returns the pooled resource under key, building and caching it on
 // first use. Keys must be comparable; the pool is worker-local, so no
 // locking is involved. A nil worker builds without pooling, so code
-// written against workers also runs standalone (calibration, tests).
+// written against workers also runs standalone (benchmarks, tests).
 func (w *Worker) Get(key any, build func() (any, error)) (any, error) {
 	if w == nil {
 		return build()

@@ -5,10 +5,11 @@
 # models' lookups and reset, the memory simulator's streaming hot loop,
 # one KNL curve cell across its four modes, one Broadwell sparse cell
 # (matrix build plus scalar gathers on ddr and edram), one dense cell's
-# store digest, twin-vs-exact, store warm/cold, and the obs registry/tracer
-# overhead guards) through `go test -bench -json`, extracts every "<name> ns/op"
-# result from the test2json stream, and writes the sorted {benchmark:
-# ns_per_op} map to BENCH_sweep.json.
+# store digest, the exact estimator's dense and curve cells, store
+# warm/cold, and the obs registry/tracer overhead guards) through
+# `go test -bench -json`, extracts every "<name> ns/op" result from the
+# test2json stream, and writes the sorted {benchmark: ns_per_op} map to
+# BENCH_sweep.json.
 #
 # Usage:
 #   scripts/bench-json.sh           # measure, (over)write BENCH_sweep.json
@@ -67,7 +68,7 @@ bench ./internal/memsim 'BenchmarkSimStreamingAccess$' 1s
 bench ./internal/harness 'BenchmarkCurveCellKNL$' 20x
 bench ./internal/harness 'BenchmarkSparseCellBroadwell$' 10x
 bench ./internal/harness 'BenchmarkDenseCellDigest$' 1s
-bench ./internal/twin   'BenchmarkTwinVsExact$' 1x
+bench ./internal/core   'BenchmarkExactCells$' 1x
 bench .                 'BenchmarkObsOverhead$' 1x
 bench .                 'BenchmarkTraceOverhead$' 1x
 bench .                 'BenchmarkStoreWarmVsCold$' 1x

@@ -31,14 +31,6 @@ else
 	echo "== staticcheck: not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"
 fi
 
-# Twin calibration gate: sweep the analytic twin and the exact
-# simulator over the quick paper grid and fail if any kernel family's
-# MAPE regressed past scripts/calib-baseline.json (10% relative slack
-# plus half a point absolute — see internal/twin/calib.Check). A
-# deliberate model change re-baselines with `make calib-baseline`.
-echo "== twin calibration (cmd/opmcalib -check)"
-go run ./cmd/opmcalib -check
-
 # The harness suite is simulator-bound and the race detector costs
 # >10x on it (TestTablesTiny alone is ~2 minutes clean and well past
 # 20 under -race on a small container), so the default 10m
@@ -64,9 +56,12 @@ go test -race -timeout 60m $pkgs
 # record encoder to json.Marshal's bytes; FuzzQueryRequest holds the
 # serve catalog's resolve of a /v1/query body to never panicking, to
 # the digest computed with no cached config fingerprint, and to
-# resolving a re-marshalled request identically. Plain `go test` above
-# replays only the committed seed corpora.
-for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/faultinject:FuzzParse internal/serve:FuzzQueryRequest; do
+# resolving a re-marshalled request identically; FuzzParseAdmit holds
+# opmserve's -admit grammar to never panicking, to finite positive
+# rates wherever serve.New accepts the classes, and to round-tripping
+# every spec it accepts. Plain `go test` above replays only the
+# committed seed corpora.
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/faultinject:FuzzParse internal/serve:FuzzQueryRequest cmd/opmserve:FuzzParseAdmit; do
 	pkg="./${target%%:*}"
 	fn="${target#*:}"
 	echo "== go test -fuzz $fn $pkg (10s)"
