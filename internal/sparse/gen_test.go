@@ -1,6 +1,10 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -211,5 +215,139 @@ func TestSubsampleAndFilter(t *testing.T) {
 	}
 	if len(filtered) == 0 || len(filtered) == len(specs) {
 		t.Fatalf("filter should drop some, keep some: %d of %d", len(filtered), len(specs))
+	}
+}
+
+// fuzzGenerators maps one FuzzGenerators input to a family's
+// production and reference builds: n is the order (the grid side k for
+// the Poisson families), p the family's shape parameter (band, row
+// length, edge count, block size or arrow width) and q Banded's row
+// length. Each is reduced to a small range, keeping its sign, so a
+// build takes milliseconds and a negative order still reaches both
+// builds, which must then both panic. BlockDiag's block is at least 1:
+// a smaller block never ends on either side.
+func fuzzGenerators(fam Family, n, p, q int, seed uint64) (prod, ref func() *CSR) {
+	n %= 400
+	switch fam {
+	case FamBanded:
+		band, nnzPerRow := p%128, q%64
+		return func() *CSR { return Banded(n, band, nnzPerRow, seed) },
+			func() *CSR { return refBanded(n, band, nnzPerRow, seed) }
+	case FamRandomUniform:
+		nnzPerRow := p % 64
+		return func() *CSR { return RandomUniform(n, nnzPerRow, seed) },
+			func() *CSR { return refRandomUniform(n, nnzPerRow, seed) }
+	case FamRMAT:
+		nnz := p % 4096
+		return func() *CSR { return RMAT(n, nnz, seed) },
+			func() *CSR { return refRMAT(n, nnz, seed) }
+	case FamBlockDiag:
+		block := max(p%64, 1)
+		return func() *CSR { return BlockDiag(n, block, seed) },
+			func() *CSR { return refBlockDiag(n, block, seed) }
+	case FamPoisson2D:
+		k := n % 64
+		return func() *CSR { return Poisson2D(k) }, func() *CSR { return refPoisson2D(k) }
+	case FamPoisson3D:
+		k := n % 24
+		return func() *CSR { return Poisson3D(k) }, func() *CSR { return refPoisson3D(k) }
+	case FamTridiag:
+		return func() *CSR { return Tridiag(n) }, func() *CSR { return refTridiag(n) }
+	default:
+		width := p % 512
+		return func() *CSR { return Arrow(n, width, seed) },
+			func() *CSR { return refArrow(n, width, seed) }
+	}
+}
+
+// build returns gen's matrix, or whether it panicked.
+func build(gen func() *CSR) (m *CSR, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	return gen(), false
+}
+
+// diffCSR describes the first difference between a and b, comparing
+// the bits of every value, or returns "" when they are identical.
+func diffCSR(a, b *CSR) string {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return fmt.Sprintf("shape %dx%d, want %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	if !slices.Equal(a.RowPtr, b.RowPtr) {
+		return fmt.Sprintf("RowPtr %v, want %v", a.RowPtr, b.RowPtr)
+	}
+	if !slices.Equal(a.ColIdx, b.ColIdx) {
+		return fmt.Sprintf("ColIdx %v, want %v", a.ColIdx, b.ColIdx)
+	}
+	if len(a.Val) != len(b.Val) {
+		return fmt.Sprintf("%d values, want %d", len(a.Val), len(b.Val))
+	}
+	for k := range a.Val {
+		if math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+			return fmt.Sprintf("Val[%d] = %v, want %v", k, a.Val[k], b.Val[k])
+		}
+	}
+	return ""
+}
+
+// FuzzGenerators holds every generator to its reference in
+// gen_ref_test.go, which builds the same matrix through a COO: for each
+// input the two matrices are bit-identical, or both builds panic. The
+// committed seeds cover order 1, Banded's band below its row length,
+// row lengths of at most 1, a block wider than the matrix, Poisson
+// grids of side 1 and of negative side, an arrow as wide as the matrix
+// and of width 0, RMAT and random rows with duplicate columns (sorted
+// by both the insertion and the sort.Sort path), and a negative order.
+func FuzzGenerators(f *testing.F) {
+	f.Fuzz(func(t *testing.T, family uint8, n, p, q int16, seed uint64) {
+		fam := Family(family % uint8(NumFamilies))
+		prod, ref := fuzzGenerators(fam, int(n), int(p), int(q), seed)
+		got, gotPanic := build(prod)
+		want, wantPanic := build(ref)
+		switch {
+		case gotPanic != wantPanic:
+			t.Fatalf("%s(n=%d, p=%d, q=%d, seed=%d): panicked %v, reference panicked %v",
+				fam, n, p, q, seed, gotPanic, wantPanic)
+		case !gotPanic:
+			if d := diffCSR(got, want); d != "" {
+				t.Fatalf("%s(n=%d, p=%d, q=%d, seed=%d): %s", fam, n, p, q, seed, d)
+			}
+		}
+	})
+}
+
+// TestGeneratorsAllocate pins each generator's allocations. A
+// row-built family makes its builder, the three CSR arrays and the CSR
+// (five), plus its random source where it draws values; Arrow makes the
+// same less the builder. RMAT makes its source, the COO's three arrays,
+// ToCSR's CSR, three arrays and row cursor, and the one sort view its
+// long rows share (ten). No array grows and nothing is allocated per
+// row: the Banded, random, RMAT and BlockDiag rows here are longer
+// than the insertion-sort cutoff, so a sort view made per row would
+// show. The collector is off while counting, as a collection adds the
+// runtime's own allocations to the count.
+func TestGeneratorsAllocate(t *testing.T) {
+	cases := []struct {
+		name string
+		gen  func() *CSR
+		want float64
+	}{
+		{"banded", func() *CSR { return Banded(500, 96, 40, 1) }, 6},
+		{"random", func() *CSR { return RandomUniform(500, 40, 2) }, 6},
+		{"rmat", func() *CSR { return RMAT(512, 8000, 3) }, 10},
+		{"blockdiag", func() *CSR { return BlockDiag(500, 48, 4) }, 6},
+		{"poisson2d", func() *CSR { return Poisson2D(24) }, 5},
+		{"poisson3d", func() *CSR { return Poisson3D(8) }, 5},
+		{"tridiag", func() *CSR { return Tridiag(500) }, 5},
+		{"arrow", func() *CSR { return Arrow(500, 8, 5) }, 5},
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(5, func() { c.gen() }); got != c.want {
+			t.Errorf("%s: %v allocations per build, want %v", c.name, got, c.want)
+		}
 	}
 }

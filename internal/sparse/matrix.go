@@ -158,31 +158,37 @@ func (m *CSR) SortRows() {
 }
 
 // dedupSortedInPlace merges duplicate (row, col) entries by summing
-// values; rows must already be sorted.
+// values; rows must already be sorted. It works in place: RowPtr[i] is
+// read before it is overwritten, and merged entries never overtake the
+// ones still to be read.
 func (m *CSR) dedupSortedInPlace() {
 	out := int64(0)
-	newPtr := make([]int64, len(m.RowPtr))
 	for i := 0; i < m.Rows; i++ {
-		newPtr[i] = out
 		start, end := m.RowPtr[i], m.RowPtr[i+1]
-		for p := start; p < end; {
-			c := m.ColIdx[p]
-			v := m.Val[p]
-			q := p + 1
-			for q < end && m.ColIdx[q] == c {
-				v += m.Val[q]
-				q++
-			}
-			m.ColIdx[out] = c
-			m.Val[out] = v
-			out++
-			p = q
-		}
+		m.RowPtr[i] = out
+		out = mergeRow(m.ColIdx, m.Val, start, end, out)
 	}
-	newPtr[m.Rows] = out
-	copy(m.RowPtr, newPtr)
+	m.RowPtr[m.Rows] = out
 	m.ColIdx = m.ColIdx[:out]
 	m.Val = m.Val[:out]
+}
+
+// mergeRow sums each run of equal columns in the sorted row k[lo:hi],
+// v[lo:hi] from left to right, writes the merged row to k and v from
+// out on (out <= lo) and returns where it ends.
+func mergeRow(k []int32, v []float64, lo, hi, out int64) int64 {
+	for p := lo; p < hi; {
+		c, s := k[p], v[p]
+		q := p + 1
+		for q < hi && k[q] == c {
+			s += v[q]
+			q++
+		}
+		k[out], v[out] = c, s
+		out++
+		p = q
+	}
+	return out
 }
 
 // At returns the entry (i, j), or zero when absent. O(log row nnz).

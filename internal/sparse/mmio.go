@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -77,6 +78,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("sparse: bad dimensions %dx%d", rows, cols)
+	}
+	if rows > math.MaxInt32 || cols > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: dimensions %dx%d exceed the int32 indices of COO and CSR", rows, cols)
 	}
 	coo := &COO{Rows: rows, Cols: cols}
 	read := 0

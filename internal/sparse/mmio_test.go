@@ -69,6 +69,10 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		"bad value":    "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 xyz\n",
 		"bad row":      "%%MatrixMarket matrix coordinate real general\n1 1 1\nx 1 1.0\n",
 		"bad dims":     "%%MatrixMarket matrix coordinate real general\n0 0 0\n",
+		// Dimensions past the int32 indices COO and CSR store: 2^50
+		// rows, and 2^32+1 columns, whose entry would wrap to column 0.
+		"rows past int32": "%%MatrixMarket matrix coordinate real general\n1125899906842624 1 0\n",
+		"cols past int32": "%%MatrixMarket matrix coordinate real general\n2 4294967297 1\n1 4294967297 1.5\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {

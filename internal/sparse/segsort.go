@@ -4,25 +4,31 @@ import "sort"
 
 // SegmentedSort sorts keys (and reorders vals identically) within each
 // segment delimited by ptr, the preprocessing the paper applies to all
-// 968 matrices ("rows ... ordered by using the segmented sort"). Short
-// segments — the common case in sparse rows — use insertion sort;
-// longer segments fall back to sort.Sort on a paired view.
+// 968 matrices ("rows ... ordered by using the segmented sort"). Each
+// segment is sorted by sortRow.
 func SegmentedSort(ptr []int64, keys []int32, vals []float64) {
-	const insertionCutoff = 32
+	var pv pairView
 	for s := 0; s+1 < len(ptr); s++ {
 		lo, hi := ptr[s], ptr[s+1]
-		n := hi - lo
-		if n < 2 {
-			continue
-		}
-		k := keys[lo:hi]
-		v := vals[lo:hi]
-		if n <= insertionCutoff {
-			insertionSortPair(k, v)
-			continue
-		}
-		sort.Sort(&pairView{k, v})
+		sortRow(&pv, keys[lo:hi], vals[lo:hi])
 	}
+}
+
+// sortRow sorts one row's column indices k, moving the values v with
+// them. Short rows, the common case, use a stable insertion sort; rows
+// longer than 32 entries fall back to sort.Sort on pv, which the
+// caller reuses across rows so that sorting allocates it once. Every
+// CSR this package builds sorts its rows here, so a row's order, and
+// the order in which mergeRow sums its duplicate columns, is the same
+// whichever path built it.
+func sortRow(pv *pairView, k []int32, v []float64) {
+	const insertionCutoff = 32
+	if len(k) <= insertionCutoff {
+		insertionSortPair(k, v)
+		return
+	}
+	*pv = pairView{k, v}
+	sort.Sort(pv)
 }
 
 func insertionSortPair(k []int32, v []float64) {

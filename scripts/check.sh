@@ -59,9 +59,11 @@ go test -race -timeout 60m $pkgs
 # resolving a re-marshalled request identically; FuzzParseAdmit holds
 # opmserve's -admit grammar to never panicking, to finite positive
 # rates wherever serve.New accepts the classes, and to round-tripping
-# every spec it accepts. Plain `go test` above replays only the
-# committed seed corpora.
-for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/faultinject:FuzzParse internal/serve:FuzzQueryRequest cmd/opmserve:FuzzParseAdmit; do
+# every spec it accepts; FuzzGenerators holds every sparse matrix
+# generator to its COO-built reference (internal/sparse/gen_ref_test.go),
+# bit for bit, or to panicking where the reference does. Plain
+# `go test` above replays only the committed seed corpora.
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/faultinject:FuzzParse internal/serve:FuzzQueryRequest cmd/opmserve:FuzzParseAdmit internal/sparse:FuzzGenerators; do
 	pkg="./${target%%:*}"
 	fn="${target#*:}"
 	echo "== go test -fuzz $fn $pkg (10s)"
