@@ -3,8 +3,8 @@
 // caches (the MCDRAM cache mode on Knights Landing is direct-mapped),
 // and the victim-cache coupling used by the eDRAM L4 on Broadwell.
 //
-// All caches operate on line addresses (byte address >> LineShift) so
-// callers can coalesce consecutive accesses cheaply. Caches are not
+// All caches operate on line addresses (byte address >> LineShift), so
+// a caller visits each line an access covers once. Caches are not
 // safe for concurrent use; the simulator serializes the interleaved
 // access stream of all virtual threads.
 package cache

@@ -10,6 +10,7 @@ type opKind int
 
 const (
 	opAccess opKind = iota
+	opAccessHalves
 	opInsert
 	opInvalidate
 	opProbe
@@ -28,6 +29,8 @@ func (o op) String() string {
 	switch o.kind {
 	case opAccess:
 		return fmt.Sprintf("Access(%d, %v)", o.line, o.flag)
+	case opAccessHalves:
+		return fmt.Sprintf("HitMRU/AccessPastMRU(%d, %v)", o.line, o.flag)
 	case opInsert:
 		return fmt.Sprintf("Insert(%d, %v)", o.line, o.flag)
 	case opInvalidate:
@@ -45,9 +48,20 @@ type result struct {
 	ev         Line
 }
 
+// apply runs o on c. opAccessHalves is an Access made the way memsim's
+// front makes a scalar one, HitMRU and then, only when it misses,
+// AccessPastMRU; on a cache without the halves it is Access.
 func apply(c Cache, o op) result {
 	var r result
 	switch o.kind {
+	case opAccessHalves:
+		if sa, ok := c.(*SetAssoc); ok {
+			if r.hit = sa.HitMRU(o.line, o.flag); !r.hit {
+				r.hit, r.ev = sa.AccessPastMRU(o.line, o.flag)
+			}
+			break
+		}
+		fallthrough
 	case opAccess:
 		r.hit, r.ev = c.Access(o.line, o.flag)
 	case opInsert:
@@ -129,8 +143,10 @@ func randomOps(rng *rand.Rand, n int, domain uint64) []op {
 		}
 		o := op{line: line, flag: rng.Intn(3) == 0}
 		switch r := rng.Intn(1000); {
-		case r < 600:
+		case r < 300:
 			o.kind = opAccess
+		case r < 600:
+			o.kind = opAccessHalves
 		case r < 800:
 			o.kind = opInsert
 		case r < 900:
@@ -167,6 +183,7 @@ func TestSetAssocEdgeCases(t *testing.T) {
 		for _, sets := range []int{1, 4} {
 			line := func(i int) uint64 { return uint64(i * sets) }
 			acc := func(i int, w bool) op { return op{kind: opAccess, line: line(i), flag: w} }
+			half := func(i int, w bool) op { return op{kind: opAccessHalves, line: line(i), flag: w} }
 			ins := func(i int, d bool) op { return op{kind: opInsert, line: line(i), flag: d} }
 			inv := func(i int) op { return op{kind: opInvalidate, line: line(i)} }
 			// fill makes lines 0..n-1 resident, line n-1 most recent.
@@ -204,6 +221,12 @@ func TestSetAssocEdgeCases(t *testing.T) {
 				// Invalidating the MRU way of a full set, then
 				// inserting it back clean.
 				"invalidate MRU then insert": drain(append(fill(ways), acc(last, true), inv(last), ins(last, false))...),
+				// The same positions reached through HitMRU and
+				// AccessPastMRU: the MRU write hit, and walks from way
+				// 1 that hit the last way or fill the one empty way.
+				"halves write hit on MRU":        drain(append(fill(ways), half(last, true), half(last, false))...),
+				"halves hit in last way":         drain(append(fill(ways), half(0, true))...),
+				"halves miss into one empty way": drain(append(fill(last), half(last, true))...),
 			}
 			for name, ops := range cases {
 				t.Run(fmt.Sprintf("%s/ways=%d/sets=%d", name, ways, sets), func(t *testing.T) {
@@ -212,6 +235,21 @@ func TestSetAssocEdgeCases(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestCheckSetCatchesPastMRUMisuse: AccessPastMRU for a line in the MRU
+// way breaks its precondition, and its walk from way 1 leaves the line
+// in both way 0 and way 1. checkSet, which checkAgainstRef runs after
+// every operation, must report that, so an Access made of the halves in
+// the wrong order fails the differential tests instead of passing
+// silently.
+func TestCheckSetCatchesPastMRUMisuse(t *testing.T) {
+	c := NewSetAssoc("sa", 4*LineSize, 4)
+	c.Access(7, false)
+	c.AccessPastMRU(7, false)
+	if err := checkSet(c, 7); err == nil {
+		t.Fatalf("checkSet passed a set holding line 7 twice: %#x", c.keys)
 	}
 }
 
@@ -228,8 +266,9 @@ func TestDirectMappedMatchesReference(t *testing.T) {
 // the operation — Access for 0–2, Insert for 3–4, Invalidate for 5,
 // Probe for 6, and for 7 Reset only when the byte is 0xff and Access
 // otherwise, so streams rarely clear — bit 3 is the write or dirty
-// flag, and bit 7 moves the line to the top of the line address range
-// (1<<57). The second byte is the line's low eight bits.
+// flag, bit 4 makes an Access through HitMRU and AccessPastMRU
+// (opAccessHalves), and bit 7 moves the line to the top of the line
+// address range (1<<57). The second byte is the line's low eight bits.
 func decodeOps(data []byte) []op {
 	ops := make([]op, 0, len(data)/2)
 	for ; len(data) >= 2; data = data[2:] {
@@ -250,6 +289,9 @@ func decodeOps(data []byte) []op {
 				o.kind = opReset
 			}
 		}
+		if o.kind == opAccess && b&0x10 != 0 {
+			o.kind = opAccessHalves
+		}
 		ops = append(ops, o)
 	}
 	return ops
@@ -258,7 +300,8 @@ func decodeOps(data []byte) []op {
 // FuzzSetAssoc decodes a geometry (1–16 ways from the first byte, 1–16
 // sets from the second) and an operation stream from the rest, and
 // requires SetAssoc to match the reference and keep its sets' layout
-// after every operation.
+// after every operation. Accesses made through HitMRU and
+// AccessPastMRU are held to the reference's Access too.
 func FuzzSetAssoc(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

@@ -4,9 +4,10 @@ import "testing"
 
 // exercise drives a deterministic mixed access pattern that touches
 // every structure Reset must rewind: two buffers (the second large
-// enough to spill flat MCDRAM), scalar loads/stores with same-line
-// coalescing, streaming line sweeps, and enough reuse to cause
-// evictions and writebacks at every level.
+// enough to spill flat MCDRAM), scalar loads/stores that repeat a line
+// (served from the L1 set's MRU way) and that walk the set from way 1,
+// streaming line sweeps, and enough reuse to cause evictions and
+// writebacks at every level.
 func exercise(s *Sim) Traffic {
 	a := s.Alloc("a", 24<<10)
 	b := s.Alloc("b", 48<<10)

@@ -63,20 +63,20 @@ func (b Buffer) Size() int64 { return b.size }
 // MCDRAM.
 func (b Buffer) InMCDRAM() bool { return b.base < ddrBase }
 
-// check panics on out-of-allocation accesses: a trace generator bug
-// would otherwise silently alias another buffer's lines and corrupt
-// the experiment (the simulated analogue of a segfault). n is compared
-// with the room left past off, since off+n can wrap for a huge n.
-func (b Buffer) check(off, n int64) {
-	limit := (b.size + cache.LineSize - 1) &^ (cache.LineSize - 1)
-	if off < 0 || n <= 0 || off > limit || n > limit-off {
-		panic(accessFault{b.name, off, n, b.size})
-	}
+// inBounds reports whether n bytes at off lie within an allocation of
+// size bytes rounded up to whole lines. An access outside it would
+// silently alias another buffer's lines and corrupt the experiment (the
+// simulated analogue of a segfault), so every Buffer method panics with
+// an accessFault instead. n is compared with the room left past off,
+// since off+n can wrap for a huge n. It takes the size, not the Buffer,
+// so the check reads one field of the receiver instead of copying it.
+func inBounds(off, n, size int64) bool {
+	limit := (size + cache.LineSize - 1) &^ (cache.LineSize - 1)
+	return off >= 0 && n > 0 && off <= limit && n <= limit-off
 }
 
-// accessFault is check's panic value. Its message is formatted only
-// when printed, which keeps check small enough to inline into every
-// Load and Store.
+// accessFault is the Buffer methods' panic value. Its message is
+// formatted only when printed, which keeps the check small.
 type accessFault struct {
 	name         string
 	off, n, size int64
@@ -89,46 +89,56 @@ func (f accessFault) Error() string {
 
 // Load issues a read of n bytes at byte offset off.
 func (b Buffer) Load(off int64, n int) {
-	b.check(off, int64(n))
+	if !inBounds(off, int64(n), b.size) {
+		panic(accessFault{b.name, off, int64(n), b.size})
+	}
 	b.sim.touch(b.base+uint64(off), int64(n), false)
 }
 
 // Store issues a write of n bytes at byte offset off.
 func (b Buffer) Store(off int64, n int) {
-	b.check(off, int64(n))
+	if !inBounds(off, int64(n), b.size) {
+		panic(accessFault{b.name, off, int64(n), b.size})
+	}
 	b.sim.touch(b.base+uint64(off), int64(n), true)
 }
 
 // LoadLines issues reads covering [off, off+n) one line at a time —
 // a fast path for streaming sweeps.
 func (b Buffer) LoadLines(off, n int64) {
-	b.check(off, n)
+	if !inBounds(off, n, b.size) {
+		panic(accessFault{b.name, off, n, b.size})
+	}
 	b.sim.touchLines(b.base+uint64(off), n, false)
 }
 
 // StoreLines issues writes covering [off, off+n) one line at a time.
 func (b Buffer) StoreLines(off, n int64) {
-	b.check(off, n)
+	if !inBounds(off, n, b.size) {
+		panic(accessFault{b.name, off, n, b.size})
+	}
 	b.sim.touchLines(b.base+uint64(off), n, true)
 }
 
 // Sim is one simulated machine instance: an on-chip front over a memory
-// side. The front is the Buffer API, same-line coalescing, L1 and L2;
-// it owns the L1/L2 statistics and the SrcL1/SrcL2 and Accesses
-// counters. The memory side is every level below L2, which NewSim picks
-// once from the mode (memside.go); it serves L2's demand misses and
-// absorbs L2's dirty victims. A Sim is not safe for concurrent use;
-// parallel kernels are modelled by interleaving their access streams
-// and by the thread/MLP terms of the timing model.
+// side. The front is the Buffer API, L1 and L2; it owns the L1/L2
+// statistics and the SrcL1/SrcL2 and Accesses counters. A scalar
+// access (Load, Store) is bounds-checked, then each line it covers is
+// looked up in its L1 set's most recently used way, then, on a miss
+// there, in the rest of the set from way 1, then in L2, and L2's misses
+// go to the memory side. A streamed line (LoadLines, StoreLines) takes
+// the same order through one L1 Access call. The memory side is
+// every level below L2, which NewSim picks once from the mode
+// (memside.go); it serves L2's demand misses and absorbs L2's dirty
+// victims. A Sim is not safe for concurrent use; parallel kernels are
+// modelled by interleaving their access streams and by the thread/MLP
+// terms of the timing model.
 type Sim struct {
 	cfg Config
 
 	// The on-chip front.
-	l1       *cache.SetAssoc
-	l2       *cache.SetAssoc
-	lastLine uint64 // trivial same-line coalescing for scalar streams
-	lastWr   bool
-	hasLast  bool
+	l1 *cache.SetAssoc
+	l2 *cache.SetAssoc
 
 	// The memory side; its caches are also listed here for LevelStats
 	// and Reset.
@@ -202,7 +212,6 @@ func (s *Sim) Reset() {
 	s.mcAllocated = 0
 	s.ddrCursor = ddrBase
 	s.traffic = Traffic{}
-	s.lastLine, s.lastWr, s.hasLast = 0, false, false
 	s.shared = false
 	if f := s.fan; f != nil {
 		// A front reset mid-run drops its sims: each runs alone after.
@@ -220,7 +229,6 @@ func (s *Sim) ResetTraffic() {
 	fp := s.traffic.FootprintBytes
 	split := s.traffic.SplitFlat
 	s.traffic = Traffic{FootprintBytes: fp, SplitFlat: split}
-	s.hasLast = false
 	if s.fan != nil {
 		for _, a := range s.fan.sims {
 			a.sim.ResetTraffic()
@@ -349,21 +357,26 @@ func (s *Sim) place(size int64) uint64 {
 func (s *Sim) Footprint() int64 { return s.traffic.FootprintBytes }
 
 // touch issues an access of n bytes at byte address addr, visiting
-// each covered line once.
+// each covered line once. A line in its L1 set's most recently used way
+// is served here; any other line walks the rest of the set, so no line
+// compares the MRU way twice.
 func (s *Sim) touch(addr uint64, n int64, write bool) {
 	s.traffic.Accesses++
 	first := cache.LineAddr(addr)
 	last := cache.LineAddr(addr + uint64(n) - 1)
 	for line := first; line <= last; line++ {
-		// Same-line coalescing: consecutive scalar accesses to one
-		// line collapse into the first (an L1 would absorb them; this
-		// keeps the filter cache small and the simulation fast).
-		if s.hasLast && line == s.lastLine && (!write || s.lastWr) {
+		switch {
+		case s.l1 == nil:
+			s.missL1(line, write, cache.Line{})
+		case s.l1.HitMRU(line, write):
 			s.traffic.Bytes[SrcL1] += cache.LineSize
-			continue
+		default:
+			if hit, ev := s.l1.AccessPastMRU(line, write); hit {
+				s.traffic.Bytes[SrcL1] += cache.LineSize
+			} else {
+				s.missL1(line, write, ev)
+			}
 		}
-		s.accessLine(line, write)
-		s.lastLine, s.lastWr, s.hasLast = line, write, true
 	}
 }
 
@@ -374,31 +387,29 @@ func (s *Sim) touchLines(addr uint64, n int64, write bool) {
 	last := cache.LineAddr(addr + uint64(n) - 1)
 	s.traffic.Accesses += last - first + 1
 	for line := first; line <= last; line++ {
-		s.accessLine(line, write)
+		if s.l1 == nil {
+			s.missL1(line, write, cache.Line{})
+		} else if hit, ev := s.l1.Access(line, write); hit {
+			s.traffic.Bytes[SrcL1] += cache.LineSize
+		} else {
+			s.missL1(line, write, ev)
+		}
 	}
-	s.hasLast = false
 }
 
-// accessLine walks the front for one line access and hands L2's misses
-// to the memory side: the dirty victim first, then the demand line. A
-// front passes both on to every sim attached to it.
-func (s *Sim) accessLine(line uint64, write bool) {
-	if s.l1 != nil {
-		hit, ev := s.l1.Access(line, write)
-		if hit {
-			s.traffic.Bytes[SrcL1] += cache.LineSize
-			return
-		}
-		if ev.Valid && ev.Dirty {
-			// Dirty L1 victims merge into L2. Insert discards the line
-			// it evicts, so a dirty L2 victim displaced here is never
-			// written back: on the golden Broadwell and Skylake FFT
-			// cells that drops 64,144 of the 161,424 dirty L2 victims
-			// (Cholesky drops 25, SpTRANS 8). Counting them would move
-			// every result (EXPERIMENTS.md, Known deviations).
-			s.l2.Insert(ev.Addr, true)
-		}
-		// fall through: fill from L2 and below, line installed above.
+// missL1 serves a line L1 missed (or every line, without an L1): L1's
+// victim merges into L2 when dirty, then L2 is looked up, and L2's
+// misses go to the memory side: the dirty victim first, then the demand
+// line. A front passes both on to every sim attached to it.
+func (s *Sim) missL1(line uint64, write bool, victim cache.Line) {
+	if victim.Valid && victim.Dirty {
+		// Dirty L1 victims merge into L2. Insert discards the line it
+		// evicts, so a dirty L2 victim displaced here is never written
+		// back: on the golden Broadwell and Skylake FFT cells that
+		// drops 64,144 of the 161,424 dirty L2 victims (Cholesky drops
+		// 25, SpTRANS 8). Counting them would move every result
+		// (EXPERIMENTS.md, Known deviations).
+		s.l2.Insert(victim.Addr, true)
 	}
 	hit, ev := s.l2.Access(line, write)
 	if hit {

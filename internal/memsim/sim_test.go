@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -288,6 +289,9 @@ func TestWritebackAccounting(t *testing.T) {
 	}
 }
 
+// TestTouchCoalescesWithinLine: scalar loads within one line fill it
+// from memory once, and L1 serves the other seven from the set's most
+// recently used way, each counted as an L1 access and hit.
 func TestTouchCoalescesWithinLine(t *testing.T) {
 	s := MustNewSim(testConfig(ModeDDR))
 	buf := s.Alloc("x", 1<<10)
@@ -301,6 +305,12 @@ func TestTouchCoalescesWithinLine(t *testing.T) {
 	// Exactly one line fill from memory.
 	if tr.Lines[SrcDDR] != 1 {
 		t.Fatalf("DDR lines = %d, want 1", tr.Lines[SrcDDR])
+	}
+	if tr.Bytes[SrcL1] != 7*cache.LineSize {
+		t.Fatalf("L1 bytes = %d, want %d", tr.Bytes[SrcL1], 7*cache.LineSize)
+	}
+	if st := *s.l1.Stats(); st.Accesses != 8 || st.Hits != 7 || st.Misses != 1 {
+		t.Fatalf("L1 stats %+v, want 8 accesses, 7 hits, 1 miss", st)
 	}
 }
 
@@ -403,37 +413,90 @@ func BenchmarkSimStreamingAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkSimScalarGather times the scalar path the sparse kernels
+// take, on Broadwell's edram geometry at simulation scale (the
+// broadwell front of frontGeometries, a 384 KB L3 and an 8 MB eDRAM).
+// Each op is one SpMV nonzero: a 4-byte column index and an 8-byte
+// value from two sequential streams, then an 8-byte gather from a 4 MB
+// vector at a seeded random index, which misses L3 and is served by the
+// eDRAM victim path or DDR.
+func BenchmarkSimScalarGather(b *testing.B) {
+	cfg := testConfig(ModeEDRAM)
+	cfg.L1, cfg.L2 = frontGeometries[0].l1, frontGeometries[0].l2
+	cfg.L3 = CacheCfg{Size: 384 << 10, Ways: 12}
+	cfg.EDRAM = CacheCfg{Size: 8 << 20, Ways: 16}
+	s := MustNewSim(cfg)
+	const nnz, xLen = 1 << 16, 1 << 19
+	colIdx := s.Alloc("colIdx", nnz*4)
+	val := s.Alloc("val", nnz*8)
+	x := s.Alloc("x", xLen*8)
+	rng := rand.New(rand.NewPCG(1, 2))
+	cols := make([]int64, nnz)
+	for p := range cols {
+		cols[p] = rng.Int64N(xLen)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i % nnz
+		colIdx.Load(int64(p)*4, 4)
+		val.Load(int64(p)*8, 8)
+		x.Load(cols[p]*8, 8)
+	}
+}
+
+// TestBufferBoundsChecking runs every out-of-allocation case through
+// all four Buffer methods and pins the panic: an error whose message
+// is byte for byte the one each method has always given.
 func TestBufferBoundsChecking(t *testing.T) {
 	s := MustNewSim(testConfig(ModeDDR))
 	buf := s.Alloc("x", 100) // rounds to 128 bytes of lines
-	buf.Load(96, 4)          // within the rounded allocation
-	cases := []struct {
+	methods := []struct {
 		name string
-		fn   func()
+		call func(off, n int64)
 	}{
-		{"load past end", func() { buf.Load(128, 8) }},
-		{"store past end", func() { buf.Store(200, 8) }},
-		{"negative offset", func() { buf.Load(-8, 8) }},
-		{"zero length", func() { buf.Load(0, 0) }},
-		{"lines past end", func() { buf.LoadLines(64, 128) }},
+		{"Load", func(off, n int64) { buf.Load(off, int(n)) }},
+		{"Store", func(off, n int64) { buf.Store(off, int(n)) }},
+		{"LoadLines", buf.LoadLines},
+		{"StoreLines", buf.StoreLines},
+	}
+	for _, m := range methods {
+		m.call(96, 4)  // within the rounded allocation
+		m.call(0, 128) // all of it
+	}
+	cases := []struct {
+		name   string
+		off, n int64
+		want   string
+	}{
+		{"past end", 128, 8, `memsim: buffer "x": access of 8 bytes at 128 outside 100 bytes`},
+		{"far past end", 200, 8, `memsim: buffer "x": access of 8 bytes at 200 outside 100 bytes`},
+		{"one byte past end", 128, 1, `memsim: buffer "x": access of 1 bytes at 128 outside 100 bytes`},
+		{"one byte too long", 0, 129, `memsim: buffer "x": access of 129 bytes at 0 outside 100 bytes`},
+		{"negative offset", -8, 8, `memsim: buffer "x": access of 8 bytes at -8 outside 100 bytes`},
+		{"zero length", 0, 0, `memsim: buffer "x": access of 0 bytes at 0 outside 100 bytes`},
+		{"straddles end", 64, 128, `memsim: buffer "x": access of 128 bytes at 64 outside 100 bytes`},
 		// off+n wraps negative: a check on the sum walks ~2^57 lines.
-		{"length overflows", func() { buf.LoadLines(64, math.MaxInt64) }},
+		{"length overflows", 64, math.MaxInt64, `memsim: buffer "x": access of 9223372036854775807 bytes at 64 outside 100 bytes`},
 	}
 	for _, c := range cases {
-		// Each call runs under a deadline, so a check that lets the
-		// access through fails the test instead of hanging it.
-		panicked := make(chan bool, 1)
-		go func() {
-			defer func() { panicked <- recover() != nil }()
-			c.fn()
-		}()
-		select {
-		case ok := <-panicked:
-			if !ok {
-				t.Errorf("%s: expected panic", c.name)
+		for _, m := range methods {
+			// Each call runs under a deadline, so a check that lets
+			// the access through fails the test instead of hanging it.
+			recovered := make(chan any, 1)
+			go func() {
+				defer func() { recovered <- recover() }()
+				m.call(c.off, c.n)
+			}()
+			select {
+			case p := <-recovered:
+				if err, ok := p.(error); !ok {
+					t.Errorf("%s %s: recovered %#v, want an error", m.name, c.name, p)
+				} else if got := err.Error(); got != c.want {
+					t.Errorf("%s %s: message %q, want %q", m.name, c.name, got, c.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s %s: no panic within 5s", m.name, c.name)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: no panic within 5s", c.name)
 		}
 	}
 }

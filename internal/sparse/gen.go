@@ -140,7 +140,11 @@ func b2i(v bool) int {
 
 // BlockDiag generates an n×n matrix of dense blockSize×blockSize
 // diagonal blocks: FEM-like structure with strong reuse inside blocks.
+// It panics for a block size below 1, which would never finish a block.
 func BlockDiag(n, blockSize int, seed uint64) *CSR {
+	if blockSize < 1 {
+		panic(fmt.Sprintf("sparse: BlockDiag block size %d, want at least 1", blockSize))
+	}
 	rng := newRNG(seed)
 	b := newRowBuilder(n, n*min(blockSize, n))
 	for b0 := 0; b0 < n; b0 += blockSize {

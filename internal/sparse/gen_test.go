@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFamilyString(t *testing.T) {
@@ -224,8 +225,9 @@ func TestSubsampleAndFilter(t *testing.T) {
 // length, edge count, block size or arrow width) and q Banded's row
 // length. Each is reduced to a small range, keeping its sign, so a
 // build takes milliseconds and a negative order still reaches both
-// builds, which must then both panic. BlockDiag's block is at least 1:
-// a smaller block never ends on either side.
+// builds, which must then both panic. A BlockDiag block below 1 has no
+// reference (ref is nil): the reference never finishes a block, and
+// the production build must panic instead.
 func fuzzGenerators(fam Family, n, p, q int, seed uint64) (prod, ref func() *CSR) {
 	n %= 400
 	switch fam {
@@ -242,9 +244,12 @@ func fuzzGenerators(fam Family, n, p, q int, seed uint64) (prod, ref func() *CSR
 		return func() *CSR { return RMAT(n, nnz, seed) },
 			func() *CSR { return refRMAT(n, nnz, seed) }
 	case FamBlockDiag:
-		block := max(p%64, 1)
-		return func() *CSR { return BlockDiag(n, block, seed) },
-			func() *CSR { return refBlockDiag(n, block, seed) }
+		block := p % 64
+		prod = func() *CSR { return BlockDiag(n, block, seed) }
+		if block < 1 {
+			return prod, nil
+		}
+		return prod, func() *CSR { return refBlockDiag(n, block, seed) }
 	case FamPoisson2D:
 		k := n % 64
 		return func() *CSR { return Poisson2D(k) }, func() *CSR { return refPoisson2D(k) }
@@ -268,6 +273,25 @@ func build(gen func() *CSR) (m *CSR, panicked bool) {
 		}
 	}()
 	return gen(), false
+}
+
+// panicValue runs gen under a 5 s deadline and returns what it
+// panicked with, nil if it returned, and fails t if it did neither, so
+// a build that loops forever fails instead of hanging the test.
+func panicValue(t *testing.T, gen func() *CSR) any {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		gen()
+	}()
+	select {
+	case p := <-done:
+		return p
+	case <-time.After(5 * time.Second):
+		t.Fatal("build neither returned nor panicked within 5s")
+		return nil
+	}
 }
 
 // diffCSR describes the first difference between a and b, comparing
@@ -301,10 +325,19 @@ func diffCSR(a, b *CSR) string {
 // grids of side 1 and of negative side, an arrow as wide as the matrix
 // and of width 0, RMAT and random rows with duplicate columns (sorted
 // by both the insertion and the sort.Sort path), and a negative order.
+// A BlockDiag block below 1 must panic, naming the block size (seed
+// blockdiag-block0).
 func FuzzGenerators(f *testing.F) {
 	f.Fuzz(func(t *testing.T, family uint8, n, p, q int16, seed uint64) {
 		fam := Family(family % uint8(NumFamilies))
 		prod, ref := fuzzGenerators(fam, int(n), int(p), int(q), seed)
+		if ref == nil {
+			want := fmt.Sprintf("block size %d", p%64)
+			if msg, _ := panicValue(t, prod).(string); !strings.Contains(msg, want) {
+				t.Fatalf("%s(n=%d, p=%d): panicked with %q, want a message naming %q", fam, n, p, msg, want)
+			}
+			return
+		}
 		got, gotPanic := build(prod)
 		want, wantPanic := build(ref)
 		switch {

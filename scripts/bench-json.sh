@@ -2,10 +2,12 @@
 # bench-json.sh — emit the repo's perf trajectory as JSON.
 #
 # Runs the fixed benchmark roster (sweep-engine overheads, the cache
-# models' lookups and reset, the memory simulator's streaming hot loop,
-# one KNL curve cell across its four modes, one Broadwell sparse cell
-# (matrix build plus scalar gathers on ddr and edram), one dense cell's
-# store digest, the exact estimator's dense and curve cells, store
+# models' lookups and reset, the memory simulator's streaming hot loop
+# and its scalar gather path, one KNL curve cell across its four modes,
+# one Broadwell sparse cell (matrix build plus scalar gathers on ddr and
+# edram), one dense cell's store digest, the exact estimator's dense
+# cells (timed over 200 passes, as one pass of eight analytic cells
+# mostly times first-call costs) and curve cells, store
 # warm/cold, and the obs registry/tracer overhead guards) through
 # `go test -bench -json`, extracts every "<name> ns/op" result from the
 # test2json stream, and writes the sorted {benchmark: ns_per_op} map to
@@ -64,11 +66,12 @@ bench() { # package regex benchtime
 
 bench ./internal/sweep  'BenchmarkMap(DisabledResilience|IdleResilience|NilInjector)$' 100x
 bench ./internal/cache  'Benchmark(SetAssocAccess|DirectMappedAccess|DirectMappedReset)$' 1s
-bench ./internal/memsim 'BenchmarkSimStreamingAccess$' 1s
+bench ./internal/memsim 'Benchmark(SimStreamingAccess|SimScalarGather)$' 1s
 bench ./internal/harness 'BenchmarkCurveCellKNL$' 20x
 bench ./internal/harness 'BenchmarkSparseCellBroadwell$' 10x
 bench ./internal/harness 'BenchmarkDenseCellDigest$' 1s
-bench ./internal/core   'BenchmarkExactCells$' 1x
+bench ./internal/core   'BenchmarkExactCells$/^dense$' 200x
+bench ./internal/core   'BenchmarkExactCells$/^curves$' 1x
 bench .                 'BenchmarkObsOverhead$' 1x
 bench .                 'BenchmarkTraceOverhead$' 1x
 bench .                 'BenchmarkStoreWarmVsCold$' 1x

@@ -47,7 +47,10 @@ go test -race -timeout 60m $pkgs
 # re-encoding every stream it accepts into equal events; FuzzFanout
 # requires memsim.Fanout to leave every sim as a lone run would, and a
 # sim to detach exactly when its buffer bases are not congruent to its
-# front's; FuzzOpen holds the store's journal replay to never failing
+# front's; FuzzFront holds memsim's on-chip front (the L1 MRU check,
+# the walk from way 1, L2) to a reference front built on
+# SetAssoc.Access and Insert, down to every call on the memory side;
+# FuzzOpen holds the store's journal replay to never failing
 # an open and to leaving a store that reopens clean after a Put and a
 # Close; FuzzParse holds the -faults grammar to round-tripping every
 # spec it accepts; FuzzParseMode holds ParseMode and Mode's
@@ -63,7 +66,7 @@ go test -race -timeout 60m $pkgs
 # generator to its COO-built reference (internal/sparse/gen_ref_test.go),
 # bit for bit, or to panicking where the reference does. Plain
 # `go test` above replays only the committed seed corpora.
-for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/faultinject:FuzzParse internal/serve:FuzzQueryRequest cmd/opmserve:FuzzParseAdmit internal/sparse:FuzzGenerators; do
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzFront internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/faultinject:FuzzParse internal/serve:FuzzQueryRequest cmd/opmserve:FuzzParseAdmit internal/sparse:FuzzGenerators; do
 	pkg="./${target%%:*}"
 	fn="${target#*:}"
 	echo "== go test -fuzz $fn $pkg (10s)"
