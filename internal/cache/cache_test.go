@@ -339,6 +339,9 @@ func BenchmarkSetAssocAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkDirectMappedAccess touches its addresses once before the
+// timer starts, so the arrays have grown over every slot it uses and
+// the loop times lookups, not growth.
 func BenchmarkDirectMappedAccess(b *testing.B) {
 	c := NewDirectMapped("mc", 256*1024*1024)
 	rng := rand.New(rand.NewSource(1))
@@ -346,14 +349,24 @@ func BenchmarkDirectMappedAccess(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = uint64(rng.Intn(1 << 24))
 	}
+	for _, a := range addrs {
+		c.Access(a, false)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(addrs[i&(len(addrs)-1)], i&7 == 0)
 	}
 }
 
+// BenchmarkDirectMappedReset fills every slot before the timer starts,
+// so Reset clears the full arrays of KNL's simulated MCDRAM cache, the
+// most a cell can leave it.
 func BenchmarkDirectMappedReset(b *testing.B) {
-	c := NewDirectMapped("mc", 256*1024*1024) // KNL's simulated MCDRAM cache
+	const capBytes = 256 * 1024 * 1024 // KNL's simulated MCDRAM cache
+	c := NewDirectMapped("mc", capBytes)
+	for line := uint64(0); line < capBytes/LineSize; line++ {
+		c.Access(line, false)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Reset()

@@ -260,19 +260,42 @@ func TestDirectMappedMatchesReference(t *testing.T) {
 		ops := randomOps(rng, 20000, uint64(2*lines))
 		checkAgainstRef(t, NewDirectMapped("dm", capBytes), newRefDirectMapped("ref", capBytes), ops)
 	}
+	// Two streams reach the arrays' growth. The first fills the top
+	// slot first, so the arrays grow to the full line count at once.
+	// The second fills the slots in ascending order, each fill followed
+	// by a random operation at or below it, so the arrays double six
+	// times with dirty lines resident, and a line whose state a
+	// doubling lost is soon probed, hit or evicted.
+	const lines = 4096
+	top := append([]op{{kind: opAccess, line: lines - 1, flag: true}}, randomOps(rng, 20000, 2*lines)...)
+	var rising []op
+	for line := uint64(0); line < lines; line++ {
+		rising = append(rising, op{kind: opAccess, line: line, flag: rng.Intn(2) == 0})
+		rising = append(rising, randomOps(rng, 1, line+1)...)
+	}
+	for _, ops := range [][]op{top, rising} {
+		checkAgainstRef(t, NewDirectMapped("dm", lines*LineSize), newRefDirectMapped("ref", lines*LineSize), ops)
+	}
 }
 
-// decodeOps reads two bytes per operation. In the first, bits 0–2 pick
-// the operation — Access for 0–2, Insert for 3–4, Invalidate for 5,
-// Probe for 6, and for 7 Reset only when the byte is 0xff and Access
+// decodeOps reads each operation as an operation byte and then the
+// line number, little-endian, in the fewest bytes that hold lineBits
+// bits (one for 8, two for 12). In the operation byte, bits 0–2
+// pick the operation — Access for 0–2, Insert for 3–4, Invalidate for
+// 5, Probe for 6, and for 7 Reset only when the byte is 0xff and Access
 // otherwise, so streams rarely clear — bit 3 is the write or dirty
 // flag, bit 4 makes an Access through HitMRU and AccessPastMRU
 // (opAccessHalves), and bit 7 moves the line to the top of the line
-// address range (1<<57). The second byte is the line's low eight bits.
-func decodeOps(data []byte) []op {
-	ops := make([]op, 0, len(data)/2)
-	for ; len(data) >= 2; data = data[2:] {
-		b, line := data[0], uint64(data[1])
+// address range (1<<57). The line number keeps its low lineBits bits.
+func decodeOps(data []byte, lineBits int) []op {
+	n := 1 + (lineBits+7)/8
+	ops := make([]op, 0, len(data)/n)
+	for ; len(data) >= n; data = data[n:] {
+		b, line := data[0], uint64(0)
+		for i := n - 1; i > 0; i-- {
+			line = line<<8 | uint64(data[i])
+		}
+		line &= 1<<lineBits - 1
 		if b&0x80 != 0 {
 			line |= 1 << 57
 		}
@@ -310,19 +333,21 @@ func FuzzSetAssoc(f *testing.F) {
 		ways := 1 + int(data[0]%16)
 		sets := 1 << (data[1] % 5)
 		capBytes := int64(ways*sets) * LineSize
-		checkAgainstRef(t, NewSetAssoc("sa", capBytes, ways), newRefSetAssoc("ref", capBytes, ways), decodeOps(data[2:]))
+		checkAgainstRef(t, NewSetAssoc("sa", capBytes, ways), newRefSetAssoc("ref", capBytes, ways), decodeOps(data[2:], 8))
 	})
 }
 
-// FuzzDirectMapped decodes a line count (1–256 from the first byte)
-// and an operation stream from the rest, and requires DirectMapped to
-// match the reference after every operation.
+// FuzzDirectMapped decodes a line count (1–4096 from the first byte)
+// and an operation stream with 12-bit line numbers from the rest, and
+// requires DirectMapped to match the reference after every operation.
+// Caches past 64 lines grow their arrays as the stream fills higher
+// slots, so growth, and Reset after it, are held to the reference too.
 func FuzzDirectMapped(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
-		capBytes := int64(1<<(data[0]%9)) * LineSize
-		checkAgainstRef(t, NewDirectMapped("dm", capBytes), newRefDirectMapped("ref", capBytes), decodeOps(data[1:]))
+		capBytes := int64(1<<(data[0]%13)) * LineSize
+		checkAgainstRef(t, NewDirectMapped("dm", capBytes), newRefDirectMapped("ref", capBytes), decodeOps(data[1:], 12))
 	})
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // DirectMapped is a direct-mapped cache. The MCDRAM cache mode on
 // Knights Landing is direct-mapped with the tags stored in MCDRAM
@@ -10,6 +13,14 @@ import "fmt"
 // Valid and dirty are bitsets, one bit per line, so Reset clears an
 // eighth of the bytes a flag per line would take; a tag counts only
 // while its valid bit is set.
+//
+// The arrays start empty and cover only the slots below the highest
+// slot filled so far: a miss that fills a slot past them doubles them,
+// or grows them to the next power of two past that slot if it lies
+// further, never past the line count. A slot past them holds no line.
+// KNL's simulated MCDRAM cache has 4M slots, most of which a cell never
+// fills; a cell that fills every slot allocates at most twice the full
+// arrays' bytes, once per cache.
 type DirectMapped struct {
 	setMask uint64
 	tags    []uint64
@@ -25,19 +36,14 @@ func NewDirectMapped(name string, capacityBytes int64) *DirectMapped {
 	if lines <= 0 || lines&(lines-1) != 0 {
 		panic(fmt.Sprintf("cache %s: line count %d not a power of two", name, lines))
 	}
-	words := (lines + 63) / 64
-	return &DirectMapped{
-		setMask: uint64(lines - 1),
-		tags:    make([]uint64, lines),
-		valid:   make([]uint64, words),
-		dirty:   make([]uint64, words),
-	}
+	return &DirectMapped{setMask: uint64(lines - 1)}
 }
 
 // Stats returns the accumulated statistics.
 func (c *DirectMapped) Stats() *Stats { return &c.stats }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics. The arrays keep their length,
+// so a pooled simulator grows them once.
 func (c *DirectMapped) Reset() {
 	clear(c.valid)
 	clear(c.dirty)
@@ -49,7 +55,7 @@ func (c *DirectMapped) Reset() {
 func (c *DirectMapped) slot(lineAddr uint64) (idx, word, bit uint64, hit bool) {
 	idx = lineAddr & c.setMask
 	word, bit = idx>>6, 1<<(idx&63)
-	return idx, word, bit, c.valid[word]&bit != 0 && c.tags[idx] == lineAddr
+	return idx, word, bit, idx < uint64(len(c.tags)) && c.valid[word]&bit != 0 && c.tags[idx] == lineAddr
 }
 
 // Access implements Cache.
@@ -64,6 +70,9 @@ func (c *DirectMapped) Access(lineAddr uint64, write bool) (bool, Line) {
 		return true, Line{}
 	}
 	c.stats.Misses++
+	if idx >= uint64(len(c.tags)) {
+		c.grow(idx)
+	}
 	return false, c.fill(idx, w, b, lineAddr, write)
 }
 
@@ -89,6 +98,9 @@ func (c *DirectMapped) Invalidate(lineAddr uint64) (bool, bool) {
 func (c *DirectMapped) Insert(lineAddr uint64, dirty bool) Line {
 	idx, w, b, hit := c.slot(lineAddr)
 	if !hit {
+		if idx >= uint64(len(c.tags)) {
+			c.grow(idx)
+		}
 		return c.fill(idx, w, b, lineAddr, dirty)
 	}
 	if dirty {
@@ -114,6 +126,30 @@ func (c *DirectMapped) fill(idx, w, b, lineAddr uint64, dirty bool) Line {
 		c.dirty[w] &^= b
 	}
 	return ev
+}
+
+// grow extends the arrays to cover slot idx: to twice their length, at
+// least one bitset word of slots, and at least the next power of two
+// past idx, capped at the line count. The new slots hold no line. It
+// stays out of line: a cell grows the arrays a few times and then
+// never again, so its body must not weigh on Access or Insert.
+//
+//go:noinline
+func (c *DirectMapped) grow(idx uint64) {
+	n := min(max(2*uint64(len(c.tags)), 64, 1<<bits.Len64(idx)), c.setMask+1)
+	words := (n + 63) / 64
+	c.tags = extend(c.tags, n)
+	c.valid = extend(c.valid, words)
+	c.dirty = extend(c.dirty, words)
+}
+
+// extend returns a copy of s lengthened to n with zeros. Its array is
+// exactly n long: append, doubling a large array, allocates about 22%
+// more than that.
+func extend(s []uint64, n uint64) []uint64 {
+	t := make([]uint64, n)
+	copy(t, s)
+	return t
 }
 
 var _ Cache = (*DirectMapped)(nil)

@@ -1,6 +1,9 @@
 package memsim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // exercise drives a deterministic mixed access pattern that touches
 // every structure Reset must rewind: two buffers (the second large
@@ -52,6 +55,64 @@ func TestResetReproducesFreshSim(t *testing.T) {
 		if first != fresh {
 			t.Errorf("%s: simulator is nondeterministic:\n%+v\n%+v", mode, first, fresh)
 		}
+	}
+
+	// Pooled KNL simulators: a cell that fills many MCDRAM cache slots
+	// grows the cache's arrays, and after Reset a smaller cell over the
+	// same lines must miss where a fresh sim misses.
+	for _, mode := range []Mode{ModeCache, ModeHybrid} {
+		cfg := knlConfig(mode)
+		pooled := MustNewSim(cfg)
+		mcdramCell(pooled, 16<<20)
+		pooled.Reset()
+		again := mcdramCell(pooled, 1<<20)
+		fresh := MustNewSim(cfg)
+		if want := mcdramCell(fresh, 1<<20); again != want {
+			t.Errorf("knl %s: reset sim diverged from fresh sim:\nreset: %+v\nfresh: %+v", mode, again, want)
+		}
+		if got, want := pooled.LevelStats(), fresh.LevelStats(); !slices.Equal(got, want) {
+			t.Errorf("knl %s: reset sim's level stats diverged from fresh sim's:\nreset: %+v\nfresh: %+v", mode, got, want)
+		}
+	}
+}
+
+// knlConfig is testConfig(mode) with Knights Landing's simulated
+// geometry (platform.KNL, Scale 64): a 64 KB L1, a 512 KB L2 and 256 MB
+// of MCDRAM, so the MCDRAM cache has 4M slots, or 2M in hybrid mode.
+func knlConfig(mode Mode) Config {
+	cfg := testConfig(mode)
+	cfg.L1 = CacheCfg{Size: 64 << 10, Ways: 8}
+	cfg.L2 = CacheCfg{Size: 512 << 10, Ways: 16}
+	cfg.MCDRAMBytes = (16 << 30) / 64
+	return cfg
+}
+
+// mcdramCell stores and then loads a buffer of size bytes whose every
+// line goes through the MCDRAM cache: in hybrid mode a first buffer
+// takes the whole flat half, so the second lands in DDR.
+func mcdramCell(s *Sim, size int64) Traffic {
+	if s.cfg.Mode == ModeHybrid {
+		s.Alloc("flat", s.cfg.MCDRAMBytes/2)
+	}
+	b := s.Alloc("ddr", size)
+	b.StoreLines(0, size)
+	b.LoadLines(0, size)
+	return s.Traffic()
+}
+
+// TestNewSimKNLCacheAllocatesLittle: the MCDRAM cache's arrays grow
+// with the slots a cell fills, so building KNL's cache-mode simulator
+// allocates its on-chip caches, not tags and bits for 4M slots.
+func TestNewSimKNLCacheAllocatesLittle(t *testing.T) {
+	cfg := knlConfig(ModeCache)
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MustNewSim(cfg)
+		}
+	})
+	if got := r.AllocedBytesPerOp(); got >= 1<<20 {
+		t.Fatalf("NewSim(knl cache) allocates %d bytes, want under 1 MB", got)
 	}
 }
 
