@@ -65,11 +65,31 @@ func succeed(t *testing.T, cmd *exec.Cmd) string {
 // TestStoreCloseFailureExitsOne: a -store whose close fails must fail
 // the run, or a script that chains -store and -resume never learns of
 // it. The report on stdout stays what a run without a store prints.
-// index.json.tmp as a directory makes the close's index write fail
-// even for root.
+// The store is seeded with a journal holding one damaged record, so
+// the close compacts it away, and journal.tmp as a directory makes that
+// compaction fail even for root.
 func TestStoreCloseFailureExitsOne(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := os.MkdirAll(filepath.Join(dir, "index.json.tmp"), 0o755); err != nil {
+	s, err := store.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(store.Digest("damaged"), "test", "damaged", 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(dir, "journal")
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x80 // the record's last payload byte: its checksum fails on replay
+	if err := os.WriteFile(journal, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "journal.tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	args := []string{"-exp", "fig7", "-q", "-time=false"}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/faultinject"
 	"repro/internal/memsim"
@@ -90,7 +91,17 @@ func (ExactEstimator) EstimateDense(ctx context.Context, eng *sweep.Engine, j De
 }
 
 // DenseCellKey is the stable identity of one dense analytic cell at
-// the result injection point — the dense counterpart of CellKey.
+// the result injection point — the dense counterpart of CellKey:
+// "<kind>|n=<N>|nb=<NB>|<platform>/<mode>". It is built in a stack
+// buffer, so the returned string is its one allocation.
 func DenseCellKey(j DenseJob) string {
-	return fmt.Sprintf("%s|n=%d|nb=%d|%s", j.Kind, j.N, j.NB, j.Machine.Label())
+	var stack [64]byte
+	b := append(stack[:0], j.Kind.String()...)
+	b = append(b, "|n="...)
+	b = strconv.AppendInt(b, int64(j.N), 10)
+	b = append(b, "|nb="...)
+	b = strconv.AppendInt(b, int64(j.NB), 10)
+	b = append(b, '|')
+	b = append(b, j.Machine.Label()...)
+	return string(b)
 }

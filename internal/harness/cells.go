@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/memsim"
@@ -46,9 +47,19 @@ const DenseSweepID = "dense"
 
 // DenseKey returns the store job key of one dense cell — the layout
 // denseCache uses (the per-job machine config hash folds into the key;
-// the family's cfgHash is empty).
+// the family's cfgHash is empty): "<config hash>|<kind>|<N>|<NB>". It
+// is built in a stack buffer, so the returned string is its one
+// allocation.
 func DenseKey(j core.DenseJob) string {
-	return fmt.Sprintf("%s|%s|%d|%d", j.Machine.ConfigHash(), j.Kind, j.N, j.NB)
+	var stack [64]byte
+	b := append(stack[:0], j.Machine.ConfigHash()...)
+	b = append(b, '|')
+	b = append(b, j.Kind.String()...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(j.N), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(j.NB), 10)
+	return string(b)
 }
 
 // CurveSweepID is the store family of one kernel's curve cells.

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memsim"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sparse"
@@ -60,6 +62,60 @@ func TestCellDigestGolden(t *testing.T) {
 		if tc.got != tc.want {
 			t.Errorf("%s cell digest = %s, want %s", tc.name, tc.got, tc.want)
 		}
+	}
+}
+
+// TestDenseKeysMatchSprintf holds the two dense cell keys to the
+// fmt.Sprintf formulas they were first written as, kept here as the
+// reference: DenseKey, the store job key the dense digest hashes, and
+// core.DenseCellKey, the cell's identity at the result fault point.
+// It covers every machine of every platform, both dense kinds, the
+// full fig7/8/15/16 orders and blocks, and N and NB values of -1, 0
+// and 1<<40.
+func TestDenseKeysMatchSprintf(t *testing.T) {
+	edges := []int{-1, 0, 1 << 40}
+	for _, p := range platform.All() {
+		machines, err := core.Machines(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orders, blocks := denseGrid(p, true)
+		orders = append(orders, edges...)
+		blocks = append(blocks, edges...)
+		for _, m := range machines {
+			for _, kind := range []trace.DenseKind{trace.DenseGEMM, trace.DenseCholesky} {
+				for _, nb := range blocks {
+					for _, n := range orders {
+						j := core.DenseJob{Machine: m, Kind: kind, N: n, NB: nb}
+						if got, want := DenseKey(j), fmt.Sprintf("%s|%s|%d|%d", m.ConfigHash(), kind, n, nb); got != want {
+							t.Fatalf("DenseKey = %q, want %q", got, want)
+						}
+						if got, want := core.DenseCellKey(j), fmt.Sprintf("%s|n=%d|nb=%d|%s", kind, n, nb, m.Label()); got != want {
+							t.Fatalf("core.DenseCellKey = %q, want %q", got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseKeysAllocateOnce: both dense keys are built in a stack
+// buffer, so the returned string is each one's only allocation. The
+// collector is off while counting, as a collection adds the runtime's
+// own allocations to the count.
+func TestDenseKeysAllocateOnce(t *testing.T) {
+	m, err := core.NewMachine(platform.KNL(), memsim.ModeCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := core.DenseJob{Machine: m, Kind: trace.DenseGEMM, N: 16640, NB: 1024}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := testing.AllocsPerRun(20, func() { DenseKey(j) }); got != 1 {
+		t.Errorf("DenseKey: %v allocations, want 1", got)
+	}
+	if got := testing.AllocsPerRun(20, func() { core.DenseCellKey(j) }); got != 1 {
+		t.Errorf("core.DenseCellKey: %v allocations, want 1", got)
 	}
 }
 

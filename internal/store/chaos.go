@@ -39,10 +39,9 @@ func (s *Store) SetInjector(in *faultinject.Injector) {
 	s.inj = in
 }
 
-// appendFrame journals one framed payload, routing through the chaos
-// injector. Caller holds mu.
-func (s *Store) appendFrame(digest string, payload []byte) error {
-	buf := frame(payload)
+// appendFrame journals one frame (encodeFrame's bytes), routing through
+// the chaos injector. Caller holds mu.
+func (s *Store) appendFrame(digest string, buf []byte) error {
 	switch s.inj.StoreWrite(digest) {
 	case faultinject.KindTorn:
 		off, err := s.f.Seek(0, io.SeekCurrent)
@@ -50,7 +49,7 @@ func (s *Store) appendFrame(digest string, payload []byte) error {
 			return err
 		}
 		// Crash mid-append: only a prefix of the frame reaches the file.
-		if _, err := s.f.Write(buf[:frameHeaderLen+len(payload)/2]); err != nil {
+		if _, err := s.f.Write(buf[:frameHeaderLen+(len(buf)-frameHeaderLen)/2]); err != nil {
 			return err
 		}
 		s.stats.TornWrites++

@@ -2,10 +2,16 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"runtime/debug"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/memsim"
+	"repro/internal/platform"
+	"repro/internal/trace"
 )
 
 // hostileStrings are digest, exp and key values that make json.Marshal
@@ -22,19 +28,36 @@ var hostileStrings = []string{
 	"é日本🙂",
 }
 
-// checkEncode fails the test unless encodeEntry(e) equals json.Marshal(e).
+// frame is the reference framing of one payload: the 8-byte header
+// (big-endian length, then CRC-32C), then the payload.
+func frame(payload []byte) []byte {
+	buf := make([]byte, frameHeaderLen+len(payload))
+	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
+	copy(buf[frameHeaderLen:], payload)
+	return buf
+}
+
+// checkEncode fails the test unless encodeFrame(e) equals
+// frame(json.Marshal(e)). An empty Data must encode as null, as a nil
+// one does in json.Marshal (which rejects an empty RawMessage).
 func checkEncode(t *testing.T, e entry) {
 	t.Helper()
-	want, err := json.Marshal(e)
-	if err != nil {
-		t.Fatalf("json.Marshal(%+v): %v", e, err)
+	ref := e
+	if len(ref.Data) == 0 {
+		ref.Data = nil
 	}
-	got, err := encodeEntry(e)
+	payload, err := json.Marshal(ref)
 	if err != nil {
-		t.Fatalf("encodeEntry(%+v): %v", e, err)
+		t.Fatalf("json.Marshal(%+v): %v", ref, err)
+	}
+	want := frame(payload)
+	got, err := encodeFrame(e)
+	if err != nil {
+		t.Fatalf("encodeFrame(%+v): %v", e, err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("encodeEntry differs from json.Marshal:\n got %q\nwant %q", got, want)
+		t.Fatalf("encodeFrame differs from the framed json.Marshal:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -49,9 +72,10 @@ func marshalT(t *testing.T, v any) json.RawMessage {
 }
 
 // TestEntryEncodeMatchesMarshal pins the journal record encoding: for
-// every payload Put can produce (json.Marshal output) and every head
-// string, encodeEntry writes exactly the bytes json.Marshal(entry)
-// writes, so the journal is unchanged by encoding a record once.
+// every payload Put can produce (json.Marshal output), a nil or empty
+// one, and every head string, encodeFrame writes exactly the 8-byte
+// header and the bytes json.Marshal(entry) writes, so the journal is
+// unchanged by building a record in one buffer.
 func TestEntryEncodeMatchesMarshal(t *testing.T) {
 	result := memsim.Result{
 		Kernel: "GEMM", Machine: "knl", Mode: memsim.ModeHybrid,
@@ -69,6 +93,7 @@ func TestEntryEncodeMatchesMarshal(t *testing.T) {
 		"raw":     marshalT(t, json.RawMessage(" { \"a\" : [ 1 , \"<&>\" ] } ")),
 		"number":  marshalT(t, -0.0),
 		"nil":     nil,
+		"empty":   {},
 	}
 	for name, data := range datas {
 		for _, v := range []int{entryVersion, 0, -1, 1 << 40} {
@@ -82,16 +107,17 @@ func TestEntryEncodeMatchesMarshal(t *testing.T) {
 	}
 }
 
-// FuzzEntryEncode holds encodeEntry to json.Marshal's bytes for fuzzed
-// head strings and for payloads json.Marshal produced: a struct, a
-// nested value, and any valid JSON the fuzzer finds, re-marshalled as a
-// RawMessage (json.Marshal compacts and escapes it first, as Put's
-// payload always is). The committed seeds under
+// FuzzEntryEncode holds encodeFrame to the framed json.Marshal bytes
+// for fuzzed head strings and for payloads json.Marshal produced: a
+// struct, a nested value, and any valid JSON the fuzzer finds,
+// re-marshalled as a RawMessage (json.Marshal compacts and escapes it
+// first, as Put's payload always is), and for a nil and an empty
+// payload, which encode as null. The committed seeds under
 // testdata/fuzz/FuzzEntryEncode cover the escaping cases of
 // hostileStrings and non-compact raw JSON.
 func FuzzEntryEncode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, digest, exp, key, label string, gflops float64, raw []byte) {
-		var datas []json.RawMessage
+		datas := []json.RawMessage{nil, {}}
 		if data, err := json.Marshal(payload{GFlops: gflops, Label: label}); err == nil {
 			datas = append(datas, data)
 		}
@@ -104,4 +130,84 @@ func FuzzEntryEncode(f *testing.F) {
 			checkEncode(t, entry{V: entryVersion, Digest: digest, Exp: exp, Key: key, Data: data})
 		}
 	})
+}
+
+// denseResult is one dense cell's result as a dense sweep commits it:
+// GEMM on KNL in cache mode.
+func denseResult(tb testing.TB) memsim.Result {
+	tb.Helper()
+	m, err := core.NewMachine(platform.KNL(), memsim.ModeCache)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := m.RunDense(trace.DenseGEMM, 16640, 1024)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestCommitPathAllocates pins the allocations of a dense cell's
+// commit. Digest makes only the returned string. Put makes the
+// result's interface value, its json.Marshal copy and its mode's
+// MarshalText, the head's interface value and json.Marshal copy, and
+// the one frame buffer (six); the digest is the same on every run, so
+// the index map never grows. Put's count is not pinned under the race
+// detector, whose sync.Pool drops a random share of what it is given,
+// so json.Marshal's pooled encoder state allocates at random. The
+// collector is off while counting, as a collection adds the runtime's
+// own allocations to the count.
+func TestCommitPathAllocates(t *testing.T) {
+	s := openT(t, t.TempDir(), nil)
+	defer s.Close()
+	r := denseResult(t)
+	d := Digest("v", "", "dense", "key")
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := testing.AllocsPerRun(20, func() { Digest("v", "", "dense", "key") }); got != 1 {
+		t.Errorf("Digest: %v allocations, want 1", got)
+	}
+	if raceEnabled() {
+		t.Skip("Put's allocations vary under the race detector")
+	}
+	put := testing.AllocsPerRun(20, func() {
+		if err := s.Put(d, "dense", "key", r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if put != 6 {
+		t.Errorf("Put of a dense result: %v allocations, want 6", put)
+	}
+}
+
+// BenchmarkStorePut times the commit of one dense cell's result: one
+// Put per op into a store in a temporary directory, so each op
+// marshals the result, frames the record and appends it to the
+// journal.
+func BenchmarkStorePut(b *testing.B) {
+	s, err := Open(b.TempDir(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	r := denseResult(b)
+	d := Digest("v", "", "dense", "key")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(d, "dense", "key", r); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -3,10 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
 // Journal file layout. The file opens with a fixed magic line naming
@@ -25,7 +23,6 @@ import (
 const (
 	journalMagic = "OPMSTORE1\n"
 	journalName  = "journal"
-	indexName    = "index.json"
 
 	// entryVersion is the record schema generation. Records written
 	// by a different generation are skipped on open (counted as
@@ -67,15 +64,17 @@ type entryHead struct {
 	Key    string `json:"key"`
 }
 
-// encodeEntry returns the journal payload of e. Only the head fields go
-// through json.Marshal; Data is spliced in verbatim as the last member.
-// For every record Put writes this is byte-identical to
+// encodeFrame returns the on-disk bytes of e's record, header and
+// payload, built in one buffer: the header's length and CRC-32C are
+// written in place once the payload is complete. Only the head fields
+// go through json.Marshal; Data is spliced in verbatim as the last
+// member. For every record Put writes the payload is byte-identical to
 // json.Marshal(e): Put's Data is json.Marshal output, already compact
 // and HTML-escaped, and compacting and escaping it is all json.Marshal
 // would do to a RawMessage. Compaction rewrites replayed records the
 // same way, so a payload keeps the bytes it was read with. An empty
 // Data encodes as null, as a nil one does in json.Marshal.
-func encodeEntry(e entry) ([]byte, error) {
+func encodeFrame(e entry) ([]byte, error) {
 	head, err := json.Marshal(entryHead{V: e.V, Digest: e.Digest, Exp: e.Exp, Key: e.Key})
 	if err != nil {
 		return nil, err
@@ -85,20 +84,15 @@ func encodeEntry(e entry) ([]byte, error) {
 		data = []byte("null")
 	}
 	const dataMember = `,"data":`
-	payload := make([]byte, 0, len(head)+len(dataMember)+len(data))
-	payload = append(payload, head[:len(head)-1]...) // drop the closing brace
-	payload = append(payload, dataMember...)
-	payload = append(payload, data...)
-	return append(payload, '}'), nil
-}
-
-// frame assembles the on-disk bytes of one payload.
-func frame(payload []byte) []byte {
-	buf := make([]byte, frameHeaderLen+len(payload))
+	buf := make([]byte, frameHeaderLen, frameHeaderLen+len(head)+len(dataMember)+len(data))
+	buf = append(buf, head[:len(head)-1]...) // drop the closing brace
+	buf = append(buf, dataMember...)
+	buf = append(buf, data...)
+	buf = append(buf, '}')
+	payload := buf[frameHeaderLen:]
 	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[frameHeaderLen:], payload)
-	return buf
+	return buf, nil
 }
 
 // scanOutcome is what replaying a journal produced: the live entries
@@ -160,18 +154,4 @@ func scanJournal(r io.Reader, start, size int64) scanOutcome {
 	}
 	out.truncated = size - (out.goodEnd - start)
 	return out
-}
-
-// writeAtomic writes data to path via a temp file and rename, so a
-// crash mid-write can never leave a half-written file under path.
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp) //opmlint:allow errdiscard — best-effort scrap of the temp file; the rename error is returned
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
 }

@@ -7,9 +7,8 @@
 // store replays the journal: a torn final record (crash mid-append) is
 // truncated away, an interior record with a damaged checksum or an
 // unknown schema version is skipped, and everything else becomes the
-// in-memory index. The journal is the single source of truth; Compact
-// rewrites it without dead records and refreshes a human-readable
-// index.json beside it, both atomically.
+// in-memory index. The journal is the store's only file and its single
+// source of truth; Compact rewrites it atomically without dead records.
 //
 // The store never feeds anything that is not byte-identical to what a
 // cold run would compute: cached payloads are the exact JSON of the
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/faultinject"
@@ -243,7 +241,7 @@ func (s *Store) Put(digest, exp, key string, v any) error {
 		return fmt.Errorf("store: encoding %s: %w", digest, err)
 	}
 	e := entry{V: entryVersion, Digest: digest, Exp: exp, Key: key, Data: data}
-	payload, err := encodeEntry(e)
+	buf, err := encodeFrame(e)
 	if err != nil {
 		s.countCommitErr()
 		return fmt.Errorf("store: encoding %s: %w", digest, err)
@@ -253,7 +251,7 @@ func (s *Store) Put(digest, exp, key string, v any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//opmlint:allow lockscope — mu IS the single-writer journal serialization point: the append must happen under it or frames interleave
-	if err := s.appendFrame(digest, payload); err != nil {
+	if err := s.appendFrame(digest, buf); err != nil {
 		s.mCommitErrs.Inc()
 		return fmt.Errorf("store: journaling %s: %w", digest, err)
 	}
@@ -311,7 +309,7 @@ func (s *Store) garbage() bool {
 
 // Compact rewrites the journal with only the live records, in
 // first-commit order, via a temp file and rename — a crash mid-compact
-// leaves the old journal intact. It then refreshes index.json.
+// leaves the old journal intact.
 func (s *Store) Compact() error {
 	if s == nil {
 		return nil
@@ -344,11 +342,11 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	for _, digest := range s.order {
-		payload, err := encodeEntry(s.index[digest])
+		buf, err := encodeFrame(s.index[digest])
 		if err != nil {
 			return fmt.Errorf("store: compacting %s: %w", digest, err)
 		}
-		if _, err := nf.Write(frame(payload)); err != nil {
+		if _, err := nf.Write(buf); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 	}
@@ -370,43 +368,11 @@ func (s *Store) compactLocked() error {
 	}
 	s.f = f
 	s.stats.Corrupt, s.stats.Stale, s.stats.Superseded = 0, 0, 0
-	return s.writeIndexLocked()
+	return nil
 }
 
-// indexFile is the shape of index.json: a compact, human-readable
-// digest listing refreshed on Compact and Close. The journal remains
-// the source of truth; the index is for inspection and tooling.
-type indexFile struct {
-	Version int          `json:"version"`
-	Live    int          `json:"live"`
-	Entries []indexEntry `json:"entries"`
-}
-
-type indexEntry struct {
-	Digest string `json:"digest"`
-	Exp    string `json:"exp"`
-	Key    string `json:"key"`
-	Bytes  int    `json:"bytes"`
-}
-
-func (s *Store) writeIndexLocked() error {
-	idx := indexFile{Version: entryVersion, Live: len(s.index)}
-	for _, digest := range s.order {
-		e := s.index[digest]
-		idx.Entries = append(idx.Entries, indexEntry{
-			Digest: digest, Exp: e.Exp, Key: e.Key, Bytes: len(e.Data),
-		})
-	}
-	sort.Slice(idx.Entries, func(a, b int) bool { return idx.Entries[a].Digest < idx.Entries[b].Digest })
-	data, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return writeAtomic(filepath.Join(s.dir, indexName), append(data, '\n'))
-}
-
-// Close compacts the journal if it accumulated dead records, writes
-// index.json, and closes the file. Safe on a nil store.
+// Close compacts the journal if it accumulated dead records and closes
+// it. Safe on a nil store.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
@@ -417,9 +383,6 @@ func (s *Store) Close() error {
 	if s.garbage() {
 		//opmlint:allow lockscope — mu IS the single-writer journal serialization point: Close's final compact must exclude appends
 		err = s.compactLocked()
-	} else {
-		//opmlint:allow lockscope — mu IS the single-writer journal serialization point: the index snapshot must be consistent with the journal
-		err = s.writeIndexLocked()
 	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
@@ -439,5 +402,7 @@ func Digest(parts ...string) string {
 		buf = append(buf, p...)
 	}
 	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
 }

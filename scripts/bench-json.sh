@@ -5,7 +5,8 @@
 # models' lookups and reset, the memory simulator's streaming hot loop
 # and its scalar gather path, one KNL curve cell across its four modes,
 # one Broadwell sparse cell (matrix build plus scalar gathers on ddr and
-# edram), one dense cell's store digest, the exact estimator's dense
+# edram), one dense cell's store digest and its store Put (marshal,
+# frame and journal append), the exact estimator's dense
 # cells (timed over 200 passes, as one pass of eight analytic cells
 # mostly times first-call costs) and curve cells, store
 # warm/cold, and the obs registry/tracer overhead guards) through
@@ -70,6 +71,7 @@ bench ./internal/memsim 'Benchmark(SimStreamingAccess|SimScalarGather)$' 1s
 bench ./internal/harness 'BenchmarkCurveCellKNL$' 20x
 bench ./internal/harness 'BenchmarkSparseCellBroadwell$' 10x
 bench ./internal/harness 'BenchmarkDenseCellDigest$' 1s
+bench ./internal/store  'BenchmarkStorePut$' 1s
 bench ./internal/core   'BenchmarkExactCells$/^dense$' 200x
 bench ./internal/core   'BenchmarkExactCells$/^curves$' 1x
 bench .                 'BenchmarkObsOverhead$' 1x

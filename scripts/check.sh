@@ -55,8 +55,8 @@ go test -race -timeout 60m $pkgs
 # Close; FuzzParse holds the -faults grammar to round-tripping every
 # spec it accepts; FuzzParseMode holds ParseMode and Mode's
 # UnmarshalText to agreeing and every accepted label to re-marshalling
-# byte-identical; FuzzEntryEncode holds the store's one-pass journal
-# record encoder to json.Marshal's bytes; FuzzQueryRequest holds the
+# byte-identical; FuzzEntryEncode holds the store's one-buffer journal
+# frame to header + json.Marshal bytes; FuzzQueryRequest holds the
 # serve catalog's resolve of a /v1/query body to never panicking, to
 # the digest computed with no cached config fingerprint, and to
 # resolving a re-marshalled request identically; FuzzParseAdmit holds
