@@ -1,6 +1,6 @@
 # Convenience targets; see scripts/check.sh for the full gate.
 
-.PHONY: build test lint check chaos bench bench-obs bench-store bench-resilience bench-json bench-baseline bench-trace bench-serve profile serve
+.PHONY: build test lint check bench bench-obs bench-store bench-json bench-baseline bench-trace bench-serve profile serve
 
 build:
 	go build ./...
@@ -8,8 +8,8 @@ build:
 test:
 	go test ./...
 
-# Contract linter (cmd/opmlint): determinism, telemetry and resilience
-# rules as a hard gate. Suppress with //opmlint:allow <check> — <reason>.
+# Contract linter (cmd/opmlint): determinism, telemetry, store-safety
+# and concurrency rules as a hard gate. Suppress with //opmlint:allow <check> — <reason>.
 lint:
 	go run ./cmd/opmlint ./...
 
@@ -17,15 +17,6 @@ lint:
 # race-enabled tests.
 check:
 	scripts/check.sh
-
-# Chaos suite: fault-injected sweeps, retry/breaker/deadline paths, and
-# store write damage, all under the race detector with fixed fault
-# seeds (the specs pin seed=N, so every run injects identically).
-chaos:
-	go test -race -count=1 -run 'TestChaos|TestTornWrites|TestCorruptWrites|TestStoreChaos' \
-		./internal/harness ./internal/store
-	go test -race -count=1 -run 'Resilient|Retry|Breaker|Deadline|Cancellation|Injected|Quarantine' \
-		./internal/sweep
 
 bench:
 	go test -bench=BenchmarkSweepEngine -benchtime=1x -run=^$$ .
@@ -56,12 +47,6 @@ bench-json:
 bench-baseline:
 	scripts/bench-json.sh
 	cp BENCH_sweep.json scripts/bench-baseline.json
-
-# Resilience overhead guard: the sweep's production path (nil policy,
-# nil injector) vs an armed-but-idle policy vs an empty injector.
-bench-resilience:
-	go test -bench='BenchmarkMap(DisabledResilience|IdleResilience|NilInjector)' \
-		-benchtime=100x -run=^$$ ./internal/sweep
 
 # Run the serving daemon (cmd/opmserve) over the default local store.
 # Warm it from a batch run first (go run ./cmd/opmbench -store .opmstore)

@@ -2,7 +2,11 @@
 // experiment renders its figure as text, prints headline findings, and
 // (with -out) writes CSV series suitable for replotting. Sweeps run on
 // the concurrent sweep engine; -workers bounds its pool and -timeout
-// aborts a run that exceeds its wall-clock budget.
+// aborts a run that exceeds its wall-clock budget. Every job runs once:
+// a cell that fails, or whose result fails the validation gate, is
+// dropped and named in a WARNING finding (a figure that cannot lose a
+// cell, such as the power figure's geometric mean, fails instead), and
+// -strict turns any dropped cell into exit status 1.
 //
 // The observability flags never change report bytes: stdout (and -out
 // CSVs) stay byte-identical whether telemetry is on or off. Metrics,
@@ -36,14 +40,11 @@ import (
 	"log/slog"
 	"os"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -62,14 +63,9 @@ func run() (code int) {
 		quiet    = flag.Bool("q", false, "suppress rendered figures (findings only)")
 		timeRun  = flag.Bool("time", true, "print per-experiment wall time")
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		timeout  = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit); bounds total wall clock across every experiment, unlike -job-timeout which bounds one sweep job attempt")
+		timeout  = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit); bounds total wall clock across every experiment")
 		progress = flag.Bool("progress", false, "report sweep progress (done/total/ETA) on stderr")
 		strict   = flag.Bool("strict", false, "exit non-zero when a sweep dropped jobs (partial reports are still written)")
-
-		retries    = flag.Int("retries", 0, "retry transient sweep-job failures up to this many extra attempts (capped exponential backoff, seeded jitter)")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-attempt deadline for one sweep job (0 = none); an attempt that exceeds it fails retryably and counts toward -retries, while -timeout still bounds the whole run")
-		breaker    = flag.Int("breaker", 0, "trip a per-sweep circuit breaker after this many consecutive dropped jobs, failing the sweep's remaining jobs fast (0 = off)")
-		faults     = flag.String("faults", "", "chaos fault-injection spec, e.g. \"seed=7,job:transient@0.1,store:torn@0.5\" (points: job, result, store; kinds: transient, permanent, panic, delay, corrupt, torn; see README fault grammar)")
 
 		storeDir = flag.String("store", "", "persistent result store directory: cached jobs are reused, completed jobs are checkpointed as they finish")
 		resume   = flag.Bool("resume", false, "continue an interrupted run from an existing -store (errors if the store does not exist yet)")
@@ -125,9 +121,7 @@ func run() (code int) {
 	// logger, run manifest, CPU profile. All of it is off by default
 	// and none of it touches stdout.
 	var reg *obs.Registry
-	if *metrics != "" || *pprofAddr != "" || *faults != "" {
-		// A chaos run always gets a registry: the fault/retry/breaker
-		// counters are the run's evidence of what actually fired.
+	if *metrics != "" || *pprofAddr != "" {
 		reg = obs.NewRegistry()
 	}
 	var logger *slog.Logger
@@ -209,37 +203,12 @@ func run() (code int) {
 		defer cancel()
 	}
 	opt := harness.Options{Full: *full, OutDir: *out, Workers: *workers, Obs: reg, Log: logger, Force: *force, Trace: tracer}
-	if *retries > 0 || *jobTimeout > 0 || *breaker > 0 {
-		opt.Resilience = &resilience.Policy{
-			MaxAttempts:      *retries + 1,
-			JobTimeout:       *jobTimeout,
-			BreakerThreshold: *breaker,
-		}
-	}
-	var inj *faultinject.Injector
-	if *faults != "" {
-		var err error
-		if inj, err = faultinject.Parse(*faults); err != nil {
-			fmt.Fprintln(os.Stderr, "opmbench:", err)
-			return 2
-		}
-		// Chaos without retries silently drops every faulted cell;
-		// faults are injected to be healed, so say what is active.
-		inj.Bind(reg)
-		opt.Inject = inj
-		fmt.Fprintf(os.Stderr, "opmbench: chaos active: %s (retries=%d, job-timeout=%s, breaker=%d)\n",
-			inj, *retries, *jobTimeout, *breaker)
-		defer func() {
-			fmt.Fprintf(os.Stderr, "opmbench: chaos counters:\n%s", chaosCounters(reg))
-		}()
-	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "opmbench:", err)
 			return 2
 		}
-		st.SetInjector(inj)
 		defer func() {
 			stats := st.Stats()
 			if err := st.Close(); err != nil {
@@ -303,23 +272,4 @@ func run() (code int) {
 		return 1
 	}
 	return 0
-}
-
-// chaosCounters renders the fault-injection and resilience counters of
-// a chaos run, sorted by name — the stderr evidence of what fired.
-func chaosCounters(reg *obs.Registry) string {
-	snap := reg.Snapshot()
-	var names []string
-	for name := range snap.Counters {
-		if strings.HasPrefix(name, "fault/") || strings.HasPrefix(name, "resilience/") ||
-			name == "store/torn_writes" || name == "store/corrupt_writes" || name == "store/write_repairs" {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "  %-36s %d\n", name, snap.Counters[name])
-	}
-	return b.String()
 }

@@ -1,7 +1,7 @@
 // Command opmlint is the repo's contract linter: a standard-library-
-// only static-analysis pass enforcing the determinism, telemetry and
-// resilience contracts the published figures depend on (see
-// internal/lint and DESIGN.md §10). It is a hard gate in
+// only static-analysis pass enforcing the determinism, telemetry,
+// store-safety and concurrency contracts the published figures depend
+// on (see internal/lint and DESIGN.md §10). It is a hard gate in
 // scripts/check.sh and `make lint`.
 //
 // Usage:

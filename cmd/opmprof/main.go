@@ -1,7 +1,7 @@
 // Command opmprof analyzes a JSONL job trace written by opmbench
 // -trace: it reconstructs every job's causal event chain, attributes
-// the run's wall time to phases (queue wait, compute, store I/O, retry
-// backoff), rebuilds the per-worker timeline, names the critical-path
+// the run's wall time to phases (queue wait, compute, store I/O),
+// rebuilds the per-worker timeline, names the critical-path
 // job — the one whose completion set the makespan — and prints the
 // top-k slowest jobs with their full chains. With -perfetto it also
 // exports a Chrome trace-event JSON loadable at ui.perfetto.dev.
@@ -74,18 +74,18 @@ func run() int {
 
 	if crit := p.CriticalPath(); crit != nil {
 		fmt.Printf("\ncritical path (job that set the makespan): %s\n", jobName(crit))
-		fmt.Printf("  wall %s = queue %s + compute %s + store %s + backoff %s\n",
+		fmt.Printf("  wall %s = queue %s + compute %s + store %s\n",
 			obs.FmtNS(crit.WallNS()), obs.FmtNS(crit.QueueNS), obs.FmtNS(crit.ComputeNS),
-			obs.FmtNS(crit.StoreNS), obs.FmtNS(crit.BackoffNS))
+			obs.FmtNS(crit.StoreNS))
 		printChain(crit)
 	}
 
 	if *top > 0 {
 		fmt.Printf("\ntop %d slowest jobs:\n", *top)
 		for i, c := range p.TopSlowest(*top) {
-			fmt.Printf("%2d. %s  wall %s (queue %s, compute %s, store %s, backoff %s)%s\n",
+			fmt.Printf("%2d. %s  wall %s (queue %s, compute %s, store %s)%s\n",
 				i+1, jobName(c), obs.FmtNS(c.WallNS()), obs.FmtNS(c.QueueNS),
-				obs.FmtNS(c.ComputeNS), obs.FmtNS(c.StoreNS), obs.FmtNS(c.BackoffNS), chainFlags(c))
+				obs.FmtNS(c.ComputeNS), obs.FmtNS(c.StoreNS), chainFlags(c))
 			printChain(c)
 		}
 	}
@@ -112,12 +112,6 @@ func chainFlags(c *obs.JobChain) string {
 	var flags []string
 	if c.CacheHit {
 		flags = append(flags, "cache hit")
-	}
-	if c.Retries > 0 {
-		flags = append(flags, fmt.Sprintf("%d retries", c.Retries))
-	}
-	if c.Faults > 0 {
-		flags = append(flags, fmt.Sprintf("%d faults", c.Faults))
 	}
 	if c.Failed {
 		flags = append(flags, "FAILED")

@@ -2,8 +2,10 @@
 // serving layer (internal/serve) over the content-addressed result
 // store and the sweep engine. Most traffic is sub-millisecond hot-set
 // or journal hits; misses are admitted through per-class token buckets
-// and computed on a pool of persistent sweep workers. SIGINT/SIGTERM
-// drains gracefully: accepted requests finish, then the store closes.
+// and computed once each on a pool of persistent sweep workers: a cold
+// cell that fails, panics or fails the validation gate answers an error
+// and is not cached. SIGINT/SIGTERM drains gracefully: accepted
+// requests finish, then the store closes.
 //
 //	opmserve -store .opmstore -addr localhost:8080
 //	curl -s localhost:8080/v1/query -d '{"platform":"broadwell","mode":"edram","kernel":"Stream","footprint_bytes":1048576}'
@@ -24,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -38,11 +39,6 @@ func run() int {
 		workers = flag.Int("workers", 4, "persistent sweep worker pool size")
 		hotSet  = flag.Int("hot", 4096, "hot-set capacity in cells (in-memory LRU in front of the journal)")
 		admit   = flag.String("admit", "", "admission overrides as class=rate:burst:queue, comma-separated; e.g. interactive=200:50:64,batch=50:16:256")
-
-		retries    = flag.Int("retries", 1, "retry transient cold-compute failures up to this many extra attempts")
-		jobTimeout = flag.Duration("job-timeout", 2*time.Minute, "per-attempt deadline for one cold compute (0 = none)")
-		breaker    = flag.Int("breaker", 8, "trip a per-kernel-family circuit breaker after this many consecutive failures (0 = off)")
-		cooldown   = flag.Duration("breaker-cooldown", 30*time.Second, "half-open a tripped family breaker after this long (0 = stay open)")
 
 		traceFile = flag.String("trace", "", "append per-request causal event chains to this JSONL file (analyze with opmprof)")
 		drainWait = flag.Duration("drain-timeout", time.Minute, "how long graceful shutdown waits for accepted work")
@@ -79,21 +75,10 @@ func run() int {
 		}
 	}
 
-	var policy *resilience.Policy
-	if *retries > 0 || *breaker > 0 || *jobTimeout > 0 {
-		policy = &resilience.Policy{
-			MaxAttempts:      *retries + 1,
-			JobTimeout:       *jobTimeout,
-			BreakerThreshold: *breaker,
-			BreakerCooldown:  *cooldown,
-		}
-	}
-
 	srv, err := serve.New(serve.Config{
 		Store:    st,
 		Registry: reg,
 		Tracer:   tracer,
-		Policy:   policy,
 		Workers:  *workers,
 		HotSet:   *hotSet,
 		Classes:  classes,

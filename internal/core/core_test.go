@@ -446,7 +446,7 @@ func estimateCells(eng *sweep.Engine, cells []cell, onJob func(w *sweep.Worker, 
 		if onJob != nil {
 			onJob(w, c)
 		}
-		return Exact.EstimateCell(ctx, eng, w, c.m, c.wl, CellKey(c.m, c.wl.Name(), c.wl.Flops()))
+		return Exact.EstimateCell(ctx, eng, w, c.m, c.wl, c.wl.Name()+"|"+c.m.Label())
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/faultinject"
 	"repro/internal/memsim"
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -31,13 +30,13 @@ type Estimator interface {
 	Version() string
 	// EstimateCell evaluates one trace-simulation cell: workload wl on
 	// machine m. w is the sweep worker owning pooled simulators (may
-	// be nil, which builds unpooled simulators); key identifies the
-	// cell to the fault injector and the quarantine record. Every
-	// implementation must pass its result through the validation gate.
+	// be nil, which builds unpooled simulators); key names the cell in
+	// a quarantine error. Every implementation must pass its result
+	// through the validation gate.
 	EstimateCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, m *Machine, wl trace.Workload, key string) (memsim.Result, error)
 	// EstimateMachines evaluates one trace cell on every machine of ms,
-	// each under its own key(m), with the trace events, fault points
-	// and gates of one EstimateCell per machine in order. It returns one
+	// each under its own key(m), with the trace events and gates of
+	// one EstimateCell per machine in order. It returns one
 	// result per machine; on failure it returns the results of the
 	// machines before the failing one, so ms[len(results)] names it.
 	EstimateMachines(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, ms []*Machine, wl trace.Workload, key func(*Machine) string) ([]memsim.Result, error)
@@ -76,23 +75,22 @@ func (e ExactEstimator) EstimateCell(ctx context.Context, eng *sweep.Engine, w *
 // result-level gate.
 func (ExactEstimator) EstimateDense(ctx context.Context, eng *sweep.Engine, j DenseJob, key string) (memsim.Result, error) {
 	obs.TraceEvent(ctx, obs.EvEstimator, "exact")
-	var inj *faultinject.Injector
+	var reg *obs.Registry
 	if eng != nil {
-		inj = eng.Inject
+		reg = eng.Obs
 	}
 	r, err := j.Machine.RunDense(j.Kind, j.N, j.NB)
 	if err != nil {
 		return memsim.Result{}, fmt.Errorf("core: %s n=%d nb=%d on %s: %w", j.Kind, j.N, j.NB, j.Machine.Label(), err)
 	}
-	if gerr := GateResult(ctx, inj, key, &r); gerr != nil {
+	if gerr := GateResult(ctx, reg, key, &r); gerr != nil {
 		return memsim.Result{}, gerr
 	}
 	return r, nil
 }
 
-// DenseCellKey is the stable identity of one dense analytic cell at
-// the result injection point — the dense counterpart of CellKey:
-// "<kind>|n=<N>|nb=<NB>|<platform>/<mode>". It is built in a stack
+// DenseCellKey is the stable identity of one dense analytic cell in a
+// quarantine error: "<kind>|n=<N>|nb=<NB>|<platform>/<mode>". It is built in a stack
 // buffer, so the returned string is its one allocation.
 func DenseCellKey(j DenseJob) string {
 	var stack [64]byte

@@ -3,16 +3,14 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/memsim"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/resilience"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -141,36 +139,80 @@ func TestEstimateMachinesPanicLeavesNothingAttached(t *testing.T) {
 	}
 }
 
-// TestEstimateMachinesStopsAtFailingMachine: when the result fault
-// point fires on the second machine's key only, EstimateMachines
-// returns the first machine's result and the second's quarantine, so
-// ms[len(results)] names the failing machine.
+// nanFlops is a workload whose flop count is NaN, so every machine's
+// evaluated result fails the gate's finiteness check.
+type nanFlops struct{ trace.Workload }
+
+func (nanFlops) Flops() float64 { return math.NaN() }
+
+// TestEstimateMachinesStopsAtFailingMachine: a result that fails the
+// gate on the first machine ends the call there. The error names that
+// machine's key, no result comes back, gate/quarantined reads 1, and
+// the machine's pooled simulator is evicted while the next machine's
+// stays pooled.
 func TestEstimateMachinesStopsAtFailingMachine(t *testing.T) {
 	brd := platform.Broadwell()
 	ms, err := Machines(brd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	inj := faultinject.New(7)
-	if err := inj.Add(faultinject.PointResult, faultinject.KindCorrupt, 0.5, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	prefix := ""
-	for i := 0; prefix == ""; i++ {
-		p := fmt.Sprintf("k%d|", i)
-		if !inj.Result(ctx, p+ms[0].Label()) && inj.Result(ctx, p+ms[1].Label()) {
-			prefix = p
+	w := sweep.NewWorker(0)
+	pooled := make([]*memsim.Sim, len(ms))
+	for i, m := range ms {
+		if pooled[i], err = m.PooledSim(w); err != nil {
+			t.Fatal(err)
 		}
 	}
-	wl := trace.NewStream(brd.ScaledBytes(64 << 20))
-	rs, err := Exact.EstimateMachines(ctx, &sweep.Engine{Inject: inj}, sweep.NewWorker(0), ms, wl,
-		func(m *Machine) string { return prefix + m.Label() })
-	var q *resilience.QuarantineError
-	if !errors.As(err, &q) || q.Key != prefix+ms[1].Label() {
-		t.Fatalf("want the quarantine of %s, got %v", ms[1].Label(), err)
+	reg := obs.NewRegistry()
+	wl := nanFlops{trace.NewStream(brd.ScaledBytes(64 << 20))}
+	rs, err := Exact.EstimateMachines(context.Background(), &sweep.Engine{Obs: reg}, w, ms, wl, cellKey)
+	if err == nil || !strings.Contains(err.Error(), cellKey(ms[0])) {
+		t.Fatalf("want the quarantine of %s, got %v", cellKey(ms[0]), err)
 	}
-	if len(rs) != 1 || rs[0] != ms[0].MustRun(wl) {
-		t.Fatalf("want the first machine's result alone, got %+v", rs)
+	if len(rs) != 0 {
+		t.Fatalf("want no result, got %+v", rs)
+	}
+	if got := reg.Counter("gate/quarantined").Value(); got != 1 {
+		t.Fatalf("gate/quarantined = %d, want 1", got)
+	}
+	for i, m := range ms[:2] {
+		sim, err := m.PooledSim(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if evicted := sim != pooled[i]; evicted != (i == 0) {
+			t.Fatalf("%s: pooled simulator evicted = %v, want %v", m.Label(), evicted, i == 0)
+		}
+	}
+}
+
+// TestGateResultQuarantinesNaN: a NaN-GFlops result fails the gate with
+// an error naming its key and counts one gate/quarantined; a valid
+// result passes and counts nothing, and a nil registry is allowed.
+func TestGateResultQuarantinesNaN(t *testing.T) {
+	m, err := NewMachine(platform.Broadwell(), memsim.ModeDDR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := m.RunDense(trace.DenseGEMM, 1024, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	if err := GateResult(ctx, reg, "good", &good); err != nil {
+		t.Fatalf("valid result quarantined: %v", err)
+	}
+	bad := good
+	bad.GFlops = math.NaN()
+	err = GateResult(ctx, reg, "dense|nan", &bad)
+	if err == nil || !strings.Contains(err.Error(), "dense|nan") {
+		t.Fatalf("want a quarantine naming dense|nan, got %v", err)
+	}
+	if got := reg.Counter("gate/quarantined").Value(); got != 1 {
+		t.Fatalf("gate/quarantined = %d, want 1", got)
+	}
+	if err := GateResult(ctx, nil, "dense|nan", &bad); err == nil {
+		t.Fatal("nil registry: want the quarantine")
 	}
 }

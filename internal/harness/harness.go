@@ -16,11 +16,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/memsim"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -68,17 +66,9 @@ type Options struct {
 	// committing results, overwriting existing entries — the recovery
 	// path when cached results are suspect.
 	Force bool
-	// Resilience, when non-nil, applies the per-job retry/deadline/
-	// breaker policy to every sweep (opmbench -retries, -job-timeout,
-	// -breaker). Nil runs each job once, as before.
-	Resilience *resilience.Policy
-	// Inject, when non-nil, is the chaos injector every sweep and
-	// result gate consults (opmbench -faults). Nil — production — costs
-	// one branch per injection site.
-	Inject *faultinject.Injector
 	// Trace, when non-nil, records every sweep job's causal event chain
-	// (enqueue → dispatch → attempts/retries/faults → estimator/gate →
-	// store → done) into the tracer's ring and optional JSONL sink
+	// (enqueue → dispatch → estimator/gate → store → done) into the
+	// tracer's ring and optional JSONL sink
 	// (opmbench -trace, analyzed by cmd/opmprof). Store-backed runs
 	// derive trace IDs from the store's content digests, so traces of
 	// different runs join on the same cells. Like Obs, tracing never
@@ -88,8 +78,7 @@ type Options struct {
 
 // engine builds the sweep engine the option set describes.
 func (o Options) engine() *sweep.Engine {
-	return &sweep.Engine{Workers: o.Workers, Progress: o.Progress, Obs: o.Obs,
-		Policy: o.Resilience, Inject: o.Inject, Trace: o.Trace}
+	return &sweep.Engine{Workers: o.Workers, Progress: o.Progress, Obs: o.Obs, Trace: o.Trace}
 }
 
 // logger returns the options' logger, or a drop-everything logger so

@@ -54,8 +54,7 @@ func powerRunner(platName string) func(context.Context, Options) (*Report, error
 					return powerPair{}, err
 				}
 				// The representative cells gate under the historical
-				// power|kernel|platform keys (inject, validate,
-				// quarantine).
+				// power|kernel|platform keys (validate, quarantine).
 				key := "power|" + kernel + "|" + platName
 				rb, err := run(ctx, eng, w, base, key+"|base")
 				if err != nil {

@@ -123,8 +123,8 @@ func sparseCell(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, plat *p
 	if err != nil {
 		return sparsePoint{}, err
 	}
-	// Every mode's cell runs through the result gate: inject,
-	// validate, quarantine on violation.
+	// Every mode's cell runs through the result gate: validate,
+	// quarantine on violation.
 	rs, err := core.Exact.EstimateMachines(ctx, eng, w, machines, wl, func(mach *core.Machine) string {
 		return spec.Name + "|" + mach.Label()
 	})

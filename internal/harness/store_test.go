@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime/debug"
 	"strings"
@@ -38,6 +42,218 @@ func mustOpen(t *testing.T, dir string, reg *obs.Registry) *store.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// runReport runs one experiment at the tiny scale, against st when it
+// is non-nil, and returns its report.
+func runReport(t *testing.T, id string, st *store.Store) *Report {
+	t.Helper()
+	e, err := Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := tiny
+	opt.Store = st
+	rep, err := e.Run(context.Background(), opt)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return rep
+}
+
+// requireEqualReports asserts two reports render byte-identical Text,
+// Findings and CSV series.
+func requireEqualReports(t *testing.T, label string, a, b *Report) {
+	t.Helper()
+	if reportBytes(a) != reportBytes(b) {
+		t.Fatalf("%s: Text/Findings diverge", label)
+	}
+	if !reflect.DeepEqual(a.CSV, b.CSV) {
+		t.Fatalf("%s: CSV series diverge", label)
+	}
+}
+
+// journalFrameHeaderLen is the store's per-record length+CRC header.
+const journalFrameHeaderLen = 8
+
+// journalFrames reads the journal under dir and returns its path, its
+// bytes and the start offset of every frame, walking the layout the
+// store writes: a magic line, then [4-byte big-endian payload
+// length][4-byte CRC][payload] records.
+func journalFrames(t *testing.T, dir string) (string, []byte, []int) {
+	t.Helper()
+	path := filepath.Join(dir, "journal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []int
+	for off := bytes.IndexByte(data, '\n') + 1; off+journalFrameHeaderLen <= len(data); {
+		frames = append(frames, off)
+		off += journalFrameHeaderLen + int(binary.BigEndian.Uint32(data[off:off+4]))
+	}
+	return path, data, frames
+}
+
+// coldJournal runs fig9 cold into a fresh store under a temp dir,
+// closes it, and returns the dir.
+func coldJournal(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	st := mustOpen(t, dir, nil)
+	runReport(t, "fig9", st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// flipEveryOtherFrame flips one payload byte in every other frame of
+// the journal under dir and returns how many frames it damaged. The
+// last frame stays whole: a damaged final frame reads as a torn tail,
+// which the open truncates instead of counting.
+func flipEveryOtherFrame(t *testing.T, dir string) int {
+	t.Helper()
+	path, data, frames := journalFrames(t, dir)
+	flipped := 0
+	for i := 0; i < len(frames)-1; i += 2 {
+		data[frames[i]+journalFrameHeaderLen] ^= 0x80
+		flipped++
+	}
+	if flipped < 2 {
+		t.Fatalf("fig9 journaled %d frames; too few to damage every other one", len(frames))
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return flipped
+}
+
+// TestChaosStoreCorruptWritesRecompute checks the silent-damage path
+// end to end: a cold fig9 run journals its cells, one payload byte is
+// flipped on disk in every other frame, the reopened store drops
+// exactly those records, and the rerun recomputes them into a report
+// byte-identical to a run without a store.
+func TestChaosStoreCorruptWritesRecompute(t *testing.T) {
+	clean := runReport(t, "fig9", nil)
+	dir := coldJournal(t)
+	flipped := flipEveryOtherFrame(t, dir)
+
+	reg := obs.NewRegistry()
+	st2 := mustOpen(t, dir, reg)
+	defer st2.Close()
+	if got := reg.Snapshot().Counters["store/corrupt_records"]; got != int64(flipped) {
+		t.Fatalf("reopen dropped %d records, want the %d flipped", got, flipped)
+	}
+	rerun := runReport(t, "fig9", st2)
+	requireEqualReports(t, "recomputed vs store-less", rerun, clean)
+	if st2.Stats().Misses == 0 {
+		t.Fatal("no cell recomputed after journal damage")
+	}
+}
+
+// TestChaosStoreTornWrites checks a crash mid-append at the report
+// level: the last journal frame of a cold fig9 run is cut short on
+// disk, the reopen truncates it without counting a corrupt record,
+// the rerun recomputes exactly that cell into a byte-identical report
+// and recommits it, and the journal then reopens clean and serves a
+// fully warm, byte-identical run.
+func TestChaosStoreTornWrites(t *testing.T) {
+	clean := runReport(t, "fig9", nil)
+	dir := coldJournal(t)
+	path, data, frames := journalFrames(t, dir)
+	last := frames[len(frames)-1]
+	torn := last + journalFrameHeaderLen + (len(data)-last-journalFrameHeaderLen)/2
+	if err := os.WriteFile(path, data[:torn], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	st := mustOpen(t, dir, reg)
+	if stats := st.Stats(); stats.TruncatedBytes != int64(torn-last) || stats.Corrupt != 0 {
+		t.Fatalf("torn tail: truncated %d bytes, %d corrupt; want %d, 0", stats.TruncatedBytes, stats.Corrupt, torn-last)
+	}
+	if got := st.Len(); got != len(frames)-1 {
+		t.Fatalf("reopen kept %d records, want %d", got, len(frames)-1)
+	}
+	rerun := runReport(t, "fig9", st)
+	requireEqualReports(t, "torn-recovered vs store-less", rerun, clean)
+	if misses := st.Stats().Misses; misses != 1 {
+		t.Fatalf("rerun recomputed %d cells, want the 1 torn one", misses)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := mustOpen(t, dir, nil)
+	defer st2.Close()
+	if stats := st2.Stats(); stats.TruncatedBytes != 0 || stats.Corrupt != 0 || st2.Len() != len(frames) {
+		t.Fatalf("recovered journal reopened damaged: %d records, %+v", st2.Len(), stats)
+	}
+	warm := runReport(t, "fig9", st2)
+	requireEqualReports(t, "warm-after-recovery vs store-less", warm, clean)
+	if misses := st2.Stats().Misses; misses != 0 {
+		t.Fatalf("warm run after recovery recomputed %d cells", misses)
+	}
+}
+
+// TestChaosExhaustionDegradesGracefully checks both ends of permanent
+// job failure. With a third of the fig9 matrices failing, the run
+// completes: every failure is counted in Dropped with one WARNING
+// finding, the report keeps its body and CSV series, and a store-backed
+// run commits exactly the surviving cells. With every matrix failing,
+// there is nothing to render, and the run ends with an error instead
+// of an empty report.
+func TestChaosExhaustionDegradesGracefully(t *testing.T) {
+	specs := suite(platform.Broadwell(), tiny)
+	doomed := map[string]bool{}
+	for i, s := range specs {
+		if i%3 == 0 {
+			doomed[s.Name] = true
+		}
+	}
+	sparseJobHook = func(s sparse.Spec) error {
+		if doomed[s.Name] {
+			return fmt.Errorf("injected failure for %s", s.Name)
+		}
+		return nil
+	}
+	defer func() { sparseJobHook = nil }()
+
+	st := mustOpen(t, t.TempDir(), nil)
+	rep := runReport(t, "fig9", st)
+	if rep.Dropped != len(doomed) {
+		t.Fatalf("rep.Dropped = %d, want %d", rep.Dropped, len(doomed))
+	}
+	warnings := 0
+	for _, f := range rep.Findings {
+		if strings.HasPrefix(f, "WARNING: dropped ") {
+			warnings++
+		}
+	}
+	if warnings != rep.Dropped {
+		t.Fatalf("%d dropped cells but %d WARNING findings", rep.Dropped, warnings)
+	}
+	if rep.Text == "" || len(rep.CSV) == 0 {
+		t.Fatal("degraded run lost its report body")
+	}
+	if got, want := st.Len(), len(specs)-len(doomed); got != want {
+		t.Fatalf("store holds %d cells after the degraded run, want the %d survivors", got, want)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, s := range specs {
+		doomed[s.Name] = true
+	}
+	e, err := Get("fig9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := e.Run(context.Background(), tiny); err == nil {
+		t.Fatalf("every matrix failed but the run returned a report (%d dropped)", rep.Dropped)
+	}
 }
 
 // TestCellDigestGolden pins the store digests of one curve cell and

@@ -159,7 +159,7 @@ func runTable5(ctx context.Context, opt Options) (*Report, error) {
 
 // representativeRun evaluates the power figures' single mid-size input
 // on one machine: a cell in the OPM-relevant region, estimated by
-// core.Exact and gated under key (the chaos injection identity).
+// core.Exact and gated under key (the name a quarantine error carries).
 type representativeRun func(ctx context.Context, eng *sweep.Engine, w *sweep.Worker, m *core.Machine, key string) (memsim.Result, error)
 
 // representativeWorkload builds the single input used for the power

@@ -1,12 +1,12 @@
 package lint
 
 // counternames: every obs instrument, span, and trace-event name must
-// be a compile-time string constant matching [a-z0-9_/]+. The chaos
-// gate in scripts/check.sh greps for literal counter names
-// (store/torn_writes, store/write_repairs), dashboards key on exact
-// strings, opmprof's phase attribution switches on the Ev* trace-event
-// constants, and the README documents the full instrument namespace —
-// a dynamically assembled name can silently escape all four. Constant
+// be a compile-time string constant matching [a-z0-9_/]+. Tests assert
+// literal counter names (gate/quarantined, sweep/job_panics),
+// dashboards key on exact strings, opmprof's phase attribution
+// switches on the Ev* trace-event constants, and the README documents
+// the full instrument namespace — a dynamically assembled name can
+// silently escape all four. Constant
 // folding is honored: "store/" + suffixConst is fine as long as the
 // result is a compile-time constant; names built from variables are
 // findings and need an //opmlint:allow annotation naming the closed

@@ -2,9 +2,9 @@ package lint
 
 // determinism: library code must not read the wall clock or draw from
 // the process-global math/rand source. Every published result depends
-// on bit-determinism — the warm==cold store equivalence, the chaos
-// byte-identity suite and the parallel==sequential sweep tests all
-// compare exact bytes — so the model packages (memsim, cache, core,
+// on bit-determinism — the warm==cold store equivalence, the
+// traced==untraced byte-identity suite and the parallel==sequential
+// sweep tests all compare exact bytes — so the model packages (memsim, cache, core,
 // sparse, stepping, roofline, platform, trace, kernels) and everything
 // they can reach must compute the same values on every run. Clock use
 // is the obs layer's privilege, and even there every read carries an

@@ -6,16 +6,15 @@ import (
 )
 
 // TestErrdiscardApplies pins the check's package scope: the journal's
-// crash-safety layer (store), the fault injector, and the serving
-// daemon on the journal's write path — and nothing else.
+// crash-safety layer (store) and the serving daemon on the journal's
+// write path — and nothing else.
 func TestErrdiscardApplies(t *testing.T) {
 	for path, want := range map[string]bool{
-		"repro/internal/store":       true,
-		"repro/internal/faultinject": true,
-		"repro/internal/serve":       true,
-		"repro/internal/sweep":       false,
-		"repro/internal/harness":     false,
-		"repro/cmd/opmserve":         false,
+		"repro/internal/store":   true,
+		"repro/internal/serve":   true,
+		"repro/internal/sweep":   false,
+		"repro/internal/harness": false,
+		"repro/cmd/opmserve":     false,
 	} {
 		if got := errdiscardCheck.Applies(nil, &Package{ImportPath: path}); got != want {
 			t.Errorf("errdiscard.Applies(%s) = %v, want %v", path, got, want)

@@ -5,7 +5,7 @@
 // never leak map-iteration order, telemetry names are grep-able
 // literals, and the store's journal never swallows an error. Each
 // property has a check here, so a regression is a failed build
-// instead of a flaky chaos suite three PRs later.
+// instead of a flaky equivalence suite three PRs later.
 //
 // Checks (see their files for the precise rules):
 //
@@ -17,9 +17,9 @@
 //	              literal consumed in range order
 //	counternames  obs counter/gauge/histogram names are compile-time
 //	              constants matching [a-z0-9_/]+
-//	errdiscard    no discarded errors in the store, faultinject and
-//	              serve packages (the journal's crash-safety layer
-//	              and the daemon on its write path)
+//	errdiscard    no discarded errors in the store and serve
+//	              packages (the journal's crash-safety layer and the
+//	              daemon on its write path)
 //
 // Three more checks are interprocedural, built on a shared module-wide
 // call graph, blocking-classification fixpoints, and a per-function

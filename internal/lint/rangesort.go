@@ -2,7 +2,7 @@ package lint
 
 // rangesort: map-iteration order must never reach report output. The
 // repo's reports, CSVs and findings are compared byte-for-byte by the
-// parallel==sequential, warm==cold and chaos equivalence suites, and
+// parallel==sequential, warm==cold and traced==untraced suites, and
 // PR 4 hand-fixed exactly this flake in harness.curveCSV (series rows
 // emitted in map order differed run to run). The check flags a
 // `for range` over a map when:

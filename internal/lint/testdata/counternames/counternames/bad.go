@@ -6,8 +6,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Record publishes under a dynamically assembled name: the chaos
-// gate's greps and the dashboards can never enumerate it.
+// Record publishes under a dynamically assembled name: the tests'
+// greps and the dashboards can never enumerate it.
 func Record(reg *obs.Registry, level string, n int64) {
 	reg.Counter("cache/" + level + "/hits").Add(n)
 }

@@ -5,14 +5,14 @@ import (
 	"math"
 )
 
-// This file is the result-validation gate of the resilience layer: the
+// This file holds the checks of the result-validation gate: the
 // simulator invariants every finished sweep cell must satisfy before
 // its result may reach a report or the persistent store. A silently
 // invalid cell (NaN throughput, impossible hit rate, traffic appearing
 // from nowhere) is exactly the class of error that corrupts a
 // 968-matrix figure without failing anything, so violations are
-// surfaced as errors and the caller quarantines the result
-// (resilience.Quarantine) instead of committing it.
+// surfaced as errors and the caller quarantines the result (core's
+// gate, in gate.go) instead of committing it.
 
 // checkFinite rejects NaN/Inf and negative values for a named field.
 func checkFinite(name string, v float64) error {

@@ -3,8 +3,8 @@ package obs
 // Chrome trace-event (Perfetto-loadable) export. The format is the
 // JSON object form — {"traceEvents": [...]} — using "X" complete
 // events for each job's dispatch→end slice on its worker's track, "i"
-// instant events for the intermediate chain steps (attempts, retries,
-// fault fires, estimator and gate steps, store ops), and "M" metadata
+// instant events for the intermediate chain steps (estimator and gate
+// steps, store ops), and "M" metadata
 // records naming the process and threads. Load the output at ui.perfetto.dev
 // or chrome://tracing; timestamps are microseconds from the tracer's
 // epoch.
@@ -42,8 +42,7 @@ const (
 // job chain becomes a complete event spanning dispatch→end on its
 // worker's thread track (cache hits land on a dedicated "store hits"
 // track), and every intermediate event becomes a thread-scoped instant
-// so retries, fault fires, and estimator and gate steps are visible on
-// the timeline. Deterministic traces render byte-identically.
+// so estimator and gate steps are visible on the timeline. Deterministic traces render byte-identically.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	p := AnalyzeTrace(events)
 
@@ -105,9 +104,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		}
 		if c.Failed {
 			args["error"] = c.Detail
-		}
-		if c.Retries > 0 {
-			args["retries"] = c.Retries
 		}
 		out = append(out, chromeEvent{
 			Name: name, Ph: "X",

@@ -2,7 +2,7 @@ package obs
 
 // Trace analysis: reconstruct per-job chains and per-worker timelines
 // from a flat event stream and attribute wall time to phases — queue
-// wait, compute, store I/O, retry backoff. This is the paper's
+// wait, compute, store I/O. This is the paper's
 // phase-attribution methodology applied to the reproduction's own
 // runtime: "where did the wall-clock go" answered from the same event
 // stream Perfetto renders. cmd/opmprof is a thin CLI over this file.
@@ -23,13 +23,9 @@ type JobChain struct {
 	EndNS   int64 // done/error timestamp (last event's TS)
 
 	QueueNS   int64 // enqueue → dispatch
-	BackoffNS int64 // sum of retry backoff durations
 	StoreNS   int64 // sum of store lookup/commit durations
-	ComputeNS int64 // busy time minus backoff and store time
+	ComputeNS int64 // busy time minus store time
 
-	Attempts int // resilient attempts started
-	Retries  int // backoff sleeps taken
-	Faults   int // injected fault fires
 	CacheHit bool
 	Failed   bool
 	Detail   string // error text when Failed
@@ -61,7 +57,6 @@ type TraceProfile struct {
 	QueueNS   int64 // phase totals summed over chains
 	ComputeNS int64
 	StoreNS   int64
-	BackoffNS int64
 }
 
 // AnalyzeTrace reconstructs job chains from a flat event stream. Events
@@ -69,7 +64,10 @@ type TraceProfile struct {
 // enqueue for the same trace ID — the same content digest recomputed in
 // a later sweep — opens a new occurrence) and closes at EvDone/EvError.
 // Chains are returned in order of their first event, so the analysis of
-// a deterministic trace is deterministic.
+// a deterministic trace is deterministic. Event names it does not know
+// (job/attempt, job/retry_backoff and fault/fire in traces written
+// before the retry layer was removed) stay in their chain and count
+// toward its compute time.
 func AnalyzeTrace(events []Event) *TraceProfile {
 	evs := make([]Event, len(events))
 	copy(evs, events)
@@ -102,13 +100,6 @@ func AnalyzeTrace(events []Event) *TraceProfile {
 		case EvDispatch:
 			c.QueueNS = ev.TSNS - c.StartNS
 			dispatch[ev.Trace] = ev.TSNS
-		case EvAttempt:
-			c.Attempts++
-		case EvRetry:
-			c.Retries++
-			c.BackoffNS += ev.DurNS
-		case EvFault:
-			c.Faults++
 		case EvStoreHit:
 			c.CacheHit = true
 			c.StoreNS += ev.DurNS
@@ -125,7 +116,7 @@ func AnalyzeTrace(events []Event) *TraceProfile {
 					busy = ev.TSNS - d
 				}
 			}
-			c.ComputeNS = busy - c.BackoffNS - c.StoreNS
+			c.ComputeNS = busy - c.StoreNS
 			if c.ComputeNS < 0 {
 				c.ComputeNS = 0
 			}
@@ -153,14 +144,13 @@ func AnalyzeTrace(events []Event) *TraceProfile {
 		p.QueueNS += c.QueueNS
 		p.ComputeNS += c.ComputeNS
 		p.StoreNS += c.StoreNS
-		p.BackoffNS += c.BackoffNS
 		ws := byWorker[c.Worker]
 		if ws == nil {
 			ws = &WorkerStat{Worker: c.Worker}
 			byWorker[c.Worker] = ws
 		}
 		ws.Jobs++
-		ws.BusyNS += c.ComputeNS + c.BackoffNS + c.StoreNS
+		ws.BusyNS += c.ComputeNS + c.StoreNS
 	}
 	p.MakespanNS = last - first
 	for _, ws := range byWorker {
@@ -208,7 +198,6 @@ func (p *TraceProfile) PhaseBreakdown() []struct {
 		{"queue", p.QueueNS},
 		{"compute", p.ComputeNS},
 		{"store", p.StoreNS},
-		{"retry-backoff", p.BackoffNS},
 	}
 }
 

@@ -1,14 +1,13 @@
 package obs
 
 // This file is the causal per-job event tracer: where the metrics
-// registry aggregates (how many retries happened), the tracer keeps
-// the chain (THIS job retried after THIS fault, then passed its gate,
-// then committed to the store). Every sweep job emits
-// a monotonically-timestamped event chain — enqueue, queue wait,
-// dispatch, attempts, retries, breaker decisions, fault fires,
-// estimator choice, validation gate, store lookup/commit — as one JSON
-// line per event to the writer the tracer was built with (a -trace
-// file, or the buffer a test reads back with ReadTrace).
+// registry aggregates (how many cells were quarantined), the tracer
+// keeps the chain (THIS job was evaluated on each mode, then passed its
+// gate, then committed to the store). Every sweep job emits a
+// monotonically-timestamped event chain — enqueue, queue wait,
+// dispatch, estimator choice, validation gate, store lookup/commit —
+// as one JSON line per event to the writer the tracer was built with
+// (a -trace file, or the buffer a test reads back with ReadTrace).
 //
 // Three invariants, mirroring the registry's:
 //
@@ -53,19 +52,15 @@ import (
 // covers Emit/TraceEvent call sites); cmd/opmprof's phase attribution
 // keys on them.
 const (
-	EvEnqueue     = "job/enqueue"       // job submitted to a sweep (worker -1)
-	EvDispatch    = "job/dispatch"      // worker picked the job up (TS − enqueue TS = queue wait)
-	EvAttempt     = "job/attempt"       // one resilient attempt started (detail: attempt number)
-	EvRetry       = "job/retry_backoff" // backoff sleep before the next attempt (dur: planned backoff)
-	EvBreakerOpen = "job/breaker_open"  // circuit breaker tripped or short-circuited this job
-	EvDone        = "job/done"          // job finished successfully (dur: dispatch-to-done busy time)
-	EvError       = "job/error"         // job failed or was skipped (detail: error)
-	EvFault       = "fault/fire"        // chaos injector fired (detail: point:kind)
-	EvEstimator   = "estimator/serve"   // one machine evaluated by the estimator (detail: exact)
-	EvGate        = "gate/result"       // validation gate verdict (detail: ok | quarantine)
-	EvStoreHit    = "store/hit"         // cache lookup hit — job bypasses the pool (dur: lookup)
-	EvStoreMiss   = "store/miss"        // cache lookup missed — job will compute (dur: lookup)
-	EvStoreCommit = "store/commit"      // result checkpointed to the store (dur: commit)
+	EvEnqueue     = "job/enqueue"     // job submitted to a sweep (worker -1)
+	EvDispatch    = "job/dispatch"    // worker picked the job up (TS − enqueue TS = queue wait)
+	EvDone        = "job/done"        // job finished successfully (dur: dispatch-to-done busy time)
+	EvError       = "job/error"       // job failed or was skipped (detail: error)
+	EvEstimator   = "estimator/serve" // one machine evaluated by the estimator (detail: exact)
+	EvGate        = "gate/result"     // validation gate verdict (detail: ok | quarantine)
+	EvStoreHit    = "store/hit"       // cache lookup hit — job bypasses the pool (dur: lookup)
+	EvStoreMiss   = "store/miss"      // cache lookup missed — job will compute (dur: lookup)
+	EvStoreCommit = "store/commit"    // result checkpointed to the store (dur: commit)
 
 	// Serve-daemon request events (internal/serve). They share the
 	// cell's store-digest trace ID, so a request chain joins the batch
@@ -82,8 +77,8 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// TSNS is monotonic nanoseconds since the tracer's epoch.
 	TSNS int64 `json:"ts_ns"`
-	// DurNS is the phase duration some events carry (retry backoff,
-	// store lookup/commit, job busy time); 0 for instants.
+	// DurNS is the phase duration some events carry (store
+	// lookup/commit, job busy time); 0 for instants.
 	DurNS int64 `json:"dur_ns,omitempty"`
 	// Trace is the stable job/trace ID the chain groups under.
 	Trace string `json:"trace"`
@@ -95,8 +90,8 @@ type Event struct {
 	// Worker is the sweep worker that emitted the event, -1 when no
 	// worker is involved (enqueue, store hits).
 	Worker int `json:"worker"`
-	// Detail is free-form event payload (attempt number, error text,
-	// fault point:kind, estimator mode).
+	// Detail is free-form event payload (error text, estimator mode,
+	// gate verdict).
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -284,8 +279,8 @@ func ReadTraceFile(path string) ([]Event, error) {
 
 // traceCtxKey carries the ambient trace reference through a job's
 // context so layers below the sweep engine (estimators, the validation
-// gate, the fault injector, store commits) can append to the job's
-// chain without new parameters.
+// gate, store commits) can append to the job's chain without new
+// parameters.
 type traceCtxKey struct{}
 
 type traceRef struct {
@@ -312,8 +307,8 @@ func TraceEvent(ctx context.Context, name, detail string) {
 	TraceEventDur(ctx, name, 0, detail)
 }
 
-// TraceEventDur is TraceEvent with a phase duration (retry backoff,
-// store commit time).
+// TraceEventDur is TraceEvent with a phase duration (store commit
+// time).
 func TraceEventDur(ctx context.Context, name string, dur time.Duration, detail string) {
 	ref, ok := ctx.Value(traceCtxKey{}).(traceRef)
 	if !ok {

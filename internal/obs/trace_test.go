@@ -61,7 +61,7 @@ func TestTracerSinkOrderAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		tr.Emit("t", EvAttempt, "j", 0, 0, strconv.Itoa(i))
+		tr.Emit("t", EvEstimator, "j", 0, 0, strconv.Itoa(i))
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -97,13 +97,13 @@ func TestTracerSinkRoundTrip(t *testing.T) {
 	tr := NewTracer(&buf)
 	tr.Emit("abc", EvEnqueue, "mat/a", -1, 0, "")
 	tr.Emit("abc", EvDispatch, "mat/a", 2, 0, "")
-	tr.Emit("abc", EvRetry, "mat/a", 2, 50*time.Microsecond, "transient")
+	tr.Emit("abc", EvStoreCommit, "mat/a", 2, 50*time.Microsecond, "serve")
 	tr.Emit("abc", EvDone, "mat/a", 2, time.Millisecond, "")
 	got := readBack(t, tr, &buf)
 	want := []Event{
 		{Seq: 1, Trace: "abc", Name: EvEnqueue, Job: "mat/a", Worker: -1},
 		{Seq: 2, Trace: "abc", Name: EvDispatch, Job: "mat/a", Worker: 2},
-		{Seq: 3, Trace: "abc", Name: EvRetry, Job: "mat/a", Worker: 2, DurNS: int64(50 * time.Microsecond), Detail: "transient"},
+		{Seq: 3, Trace: "abc", Name: EvStoreCommit, Job: "mat/a", Worker: 2, DurNS: int64(50 * time.Microsecond), Detail: "serve"},
 		{Seq: 4, Trace: "abc", Name: EvDone, Job: "mat/a", Worker: 2, DurNS: int64(time.Millisecond)},
 	}
 	if len(got) != len(want) {
@@ -304,20 +304,22 @@ func TestWriteProm(t *testing.T) {
 }
 
 // TestAnalyzeTrace builds a synthetic two-job trace — one clean job,
-// one with a retry, a fault and a store commit — and
+// one with a store commit and the attempt, fault and retry-backoff
+// events that traces carried before the retry layer was removed — and
 // checks the reconstructed chains, phase attribution, critical path
-// and top-k ordering.
+// and top-k ordering. The old events stay in their chain and count as
+// compute.
 func TestAnalyzeTrace(t *testing.T) {
 	evs := []Event{
 		{Seq: 1, TSNS: 0, Trace: "a", Name: EvEnqueue, Job: "ja", Worker: -1},
 		{Seq: 2, TSNS: 10, Trace: "b", Name: EvEnqueue, Job: "jb", Worker: -1},
 		{Seq: 3, TSNS: 100, Trace: "a", Name: EvDispatch, Job: "ja", Worker: 0},
 		{Seq: 4, TSNS: 110, Trace: "b", Name: EvDispatch, Job: "jb", Worker: 1},
-		{Seq: 5, TSNS: 120, Trace: "a", Name: EvAttempt, Job: "ja", Worker: 0, Detail: "1"},
-		{Seq: 6, TSNS: 130, Trace: "b", Name: EvAttempt, Job: "jb", Worker: 1, Detail: "1"},
-		{Seq: 7, TSNS: 140, Trace: "b", Name: EvFault, Job: "jb", Worker: 1, Detail: "job:transient"},
-		{Seq: 8, TSNS: 150, Trace: "b", Name: EvRetry, Job: "jb", Worker: 1, DurNS: 200, Detail: "boom"},
-		{Seq: 9, TSNS: 360, Trace: "b", Name: EvAttempt, Job: "jb", Worker: 1, Detail: "2"},
+		{Seq: 5, TSNS: 120, Trace: "a", Name: EvGate, Job: "ja", Worker: 0, Detail: "ok"},
+		{Seq: 6, TSNS: 130, Trace: "b", Name: "job/attempt", Job: "jb", Worker: 1, Detail: "1"},
+		{Seq: 7, TSNS: 140, Trace: "b", Name: "fault/fire", Job: "jb", Worker: 1, Detail: "job:transient"},
+		{Seq: 8, TSNS: 150, Trace: "b", Name: "job/retry_backoff", Job: "jb", Worker: 1, DurNS: 200, Detail: "boom"},
+		{Seq: 9, TSNS: 360, Trace: "b", Name: "job/attempt", Job: "jb", Worker: 1, Detail: "2"},
 		{Seq: 10, TSNS: 400, Trace: "a", Name: EvEstimator, Job: "ja", Worker: 0, Detail: "exact"},
 		{Seq: 11, TSNS: 420, Trace: "b", Name: EvEstimator, Job: "jb", Worker: 1, Detail: "exact"},
 		{Seq: 12, TSNS: 500, Trace: "a", Name: EvDone, Job: "ja", Worker: 0, DurNS: 400},
@@ -341,11 +343,11 @@ func TestAnalyzeTrace(t *testing.T) {
 	if a.ComputeNS != 400 {
 		t.Fatalf("clean job compute = %d, want its 400ns busy time", a.ComputeNS)
 	}
-	if b.Retries != 1 || b.BackoffNS != 200 || b.Faults != 1 {
-		t.Fatalf("faulted chain: %+v", b)
+	if len(b.Events) != 9 {
+		t.Fatalf("old-event chain kept %d events, want 9", len(b.Events))
 	}
-	if b.StoreNS != 50 || b.ComputeNS != 590-200-50 {
-		t.Fatalf("faulted compute = %d store = %d, want 340/50", b.ComputeNS, b.StoreNS)
+	if b.StoreNS != 50 || b.ComputeNS != 590-50 {
+		t.Fatalf("old-event chain compute = %d store = %d, want 540/50", b.ComputeNS, b.StoreNS)
 	}
 	if crit := p.CriticalPath(); crit.Trace != "b" {
 		t.Fatalf("critical path = %s, want b (last to finish)", crit.Trace)
@@ -354,8 +356,9 @@ func TestAnalyzeTrace(t *testing.T) {
 		t.Fatalf("TopSlowest(1) = %v", top)
 	}
 	phases := p.PhaseBreakdown()
-	if phases[0].Label != "queue" || phases[0].NS != 200 ||
-		phases[3].Label != "retry-backoff" || phases[3].NS != 200 {
+	if len(phases) != 3 || phases[0].Label != "queue" || phases[0].NS != 200 ||
+		phases[1].Label != "compute" || phases[1].NS != 400+540 ||
+		phases[2].Label != "store" || phases[2].NS != 50 {
 		t.Fatalf("phase breakdown: %+v", phases)
 	}
 }

@@ -63,7 +63,6 @@ type cell struct {
 	family  string // store sweep family, also the provenance label Put records
 	cfgHash string
 	key     string
-	kernel  string // kernel name; one circuit breaker per kernel family
 
 	compute func(ctx context.Context, w *sweep.Worker) (any, error)
 	render  func(data []byte, resp *QueryResponse) error
@@ -139,7 +138,6 @@ func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 			family:  harness.CurveSweepID(kernel),
 			cfgHash: cs.cfgHash,
 			key:     harness.CurveCellKey(fp),
-			kernel:  kernel,
 			compute: func(ctx context.Context, w *sweep.Worker) (any, error) {
 				return spec.ComputeCell(ctx, eng, w, core.Exact, kernel, fp)
 			},
@@ -173,7 +171,6 @@ func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 			family:  harness.DenseSweepID,
 			cfgHash: "",
 			key:     harness.DenseKey(j),
-			kernel:  kind.String(),
 			compute: func(ctx context.Context, _ *sweep.Worker) (any, error) {
 				// Dense cells are analytic; no pooled simulator involved.
 				return core.Exact.EstimateDense(ctx, eng, j, core.DenseCellKey(j))

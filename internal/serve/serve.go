@@ -13,11 +13,10 @@
 // then borrow the lowest-numbered idle one of a fixed set of
 // persistent sweep workers, whose pooled simulators stay warm across
 // requests, and compute on the request's own goroutine through
-// sweep.Run — the runner batch sweeps use, with one circuit breaker
-// per kernel family. Computed cells are journaled under the same
-// digests the batch sweeps use, so the daemon and opmbench warm each
-// other. Every cell is the exact one (core.Exact): a cold query waits
-// for its computation.
+// sweep.Run — the runner batch sweeps use. Computed cells are
+// journaled under the same digests the batch sweeps use, so the daemon
+// and opmbench warm each other. Every cell is the exact one
+// (core.Exact): a cold query waits for its computation.
 package serve
 
 import (
@@ -28,14 +27,12 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -51,9 +48,6 @@ type Config struct {
 	// Tracer records per-request causal chains that join batch job
 	// chains on the same cells (nil = tracing off).
 	Tracer *obs.Tracer
-	// Policy is the retry/breaker policy cold computes run under. For
-	// a daemon, set BreakerCooldown so tripped families recover.
-	Policy *resilience.Policy
 	// Workers is the persistent worker pool size (default 4).
 	Workers int
 	// HotSet is the LRU capacity in cells (default 4096).
@@ -78,9 +72,6 @@ type Server struct {
 	adm  *admission
 	pool *workerPool
 	cat  *catalog
-
-	breakerMu sync.Mutex
-	breakers  map[string]*resilience.Breaker // per kernel family
 
 	jobs *jobTable
 
@@ -108,16 +99,15 @@ func New(cfg Config) (*Server, error) {
 		workers = 4
 	}
 	s := &Server{
-		st:       cfg.Store,
-		reg:      cfg.Registry,
-		tr:       cfg.Tracer,
-		eng:      &sweep.Engine{Obs: cfg.Registry, Trace: cfg.Tracer, Policy: cfg.Policy},
-		hot:      newHotSet(cfg.HotSet),
-		adm:      adm,
-		cat:      newCatalog(),
-		breakers: map[string]*resilience.Breaker{},
-		jobs:     newJobTable(64),
-		startNS:  nowNS(),
+		st:      cfg.Store,
+		reg:     cfg.Registry,
+		tr:      cfg.Tracer,
+		eng:     &sweep.Engine{Obs: cfg.Registry, Trace: cfg.Tracer},
+		hot:     newHotSet(cfg.HotSet),
+		adm:     adm,
+		cat:     newCatalog(),
+		jobs:    newJobTable(64),
+		startNS: nowNS(),
 	}
 	base := cfg.BaseContext
 	if base == nil {
@@ -251,8 +241,6 @@ func writeQueryError(w http.ResponseWriter, err error) {
 		secs := int64(over.RetryAfter/time.Second) + 1
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 		httpError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, resilience.ErrBreakerOpen):
-		httpError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		httpError(w, 499, err) // client went away mid-wait
 	default:
@@ -335,9 +323,10 @@ func (s *Server) admit(ctx context.Context, class, traceID, traceKey string) err
 }
 
 // computeCell runs the admitted cold path: borrow a worker, evaluate
-// under the resilience policy, journal, and return the cell's canonical
-// bytes. It emits the same enqueue→dispatch→done chain shape batch
-// sweeps emit, so opmprof reads serve chains natively.
+// through sweep.Run (panic containment, sweep/job_panics), journal, and
+// return the cell's canonical bytes. It emits the same
+// enqueue→dispatch→done chain shape batch sweeps emit, so opmprof reads
+// serve chains natively.
 func (s *Server) computeCell(ctx context.Context, c *cell, digest, traceID, traceKey, class string) ([]byte, error) {
 	if err := s.admit(ctx, class, traceID, traceKey); err != nil {
 		return nil, err
@@ -353,7 +342,9 @@ func (s *Server) computeCell(ctx context.Context, c *cell, digest, traceID, trac
 		s.tr.Emit(traceID, obs.EvDispatch, traceKey, w.ID(), 0, "")
 		cctx := obs.WithTraceContext(ctx, s.tr, traceID, traceKey, w.ID())
 		var v any
-		v, err = s.evalWithPolicy(cctx, c, w, digest)
+		v, err = sweep.Run(cctx, s.eng, w, c, func(ctx context.Context, w *sweep.Worker, c *cell) (any, error) {
+			return c.compute(ctx, w)
+		})
 		if err != nil {
 			s.tr.Emit(traceID, obs.EvError, traceKey, w.ID(), 0, err.Error())
 			return
@@ -388,36 +379,6 @@ func (s *Server) computeCell(ctx context.Context, c *cell, digest, traceID, trac
 	}
 	s.reg.Counter("serve/computed").Inc()
 	return data, nil
-}
-
-// evalWithPolicy evaluates one cell through the sweep engine's job
-// runner (sweep.Run), exactly as a batch sweep runs each job: panic
-// containment, the "job" chaos point, per-attempt deadline, retry with
-// backoff, and the kernel family's circuit breaker. The cell digest is
-// the job key.
-func (s *Server) evalWithPolicy(ctx context.Context, c *cell, w *sweep.Worker, digest string) (any, error) {
-	family := strings.ToLower(c.kernel)
-	v, err := sweep.Run(ctx, s.eng, s.breaker(family), w, digest, c, func(ctx context.Context, w *sweep.Worker, c *cell) (any, error) {
-		return c.compute(ctx, w)
-	})
-	if errors.Is(err, resilience.ErrBreakerOpen) {
-		err = fmt.Errorf("serve: family %s: %w", family, err)
-	}
-	return v, err
-}
-
-// breaker returns (creating if needed) the family's circuit breaker.
-// Nil when the policy disables breaking — resilience.Breaker is
-// nil-safe.
-func (s *Server) breaker(family string) *resilience.Breaker {
-	s.breakerMu.Lock()
-	defer s.breakerMu.Unlock()
-	br, ok := s.breakers[family]
-	if !ok {
-		br = s.eng.Policy.NewBreaker()
-		s.breakers[family] = br
-	}
-	return br
 }
 
 // handleHealthz reports liveness; a draining daemon answers 503 so

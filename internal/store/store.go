@@ -27,7 +27,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -44,13 +43,10 @@ type Store struct {
 	stats Stats
 
 	reg *obs.Registry
-	// inj, when non-nil, fault-injects journal appends (see chaos.go).
-	inj *faultinject.Injector
 	// Instruments resolve once at open; all nil (no-op) without a
 	// registry.
 	mHits, mMisses, mCommits, mCommitErrs *obs.Counter
 	mCorrupt, mStale, mSuperseded         *obs.Counter
-	mTorn, mCorruptW, mRepairs            *obs.Counter
 }
 
 // Stats is the running damage-and-usage tally of one store session.
@@ -66,11 +62,6 @@ type Stats struct {
 	Corrupt, Stale, Superseded int
 	// TruncatedBytes is how much torn tail the open-time scan cut.
 	TruncatedBytes int64
-	// TornWrites, CorruptWrites and WriteRepairs count chaos-injected
-	// append damage this session (see chaos.go): short writes, silent
-	// payload bit flips, and torn writes healed in place. All zero
-	// without an injector.
-	TornWrites, CorruptWrites, WriteRepairs int
 }
 
 // Open opens (creating if needed) the store in dir and replays its
@@ -102,9 +93,6 @@ func Open(dir string, reg *obs.Registry) (*Store, error) {
 		mCorrupt:    reg.Counter("store/corrupt_records"),
 		mStale:      reg.Counter("store/stale_records"),
 		mSuperseded: reg.Counter("store/superseded_records"),
-		mTorn:       reg.Counter("store/torn_writes"),
-		mCorruptW:   reg.Counter("store/corrupt_writes"),
-		mRepairs:    reg.Counter("store/write_repairs"),
 	}
 	if err := s.replay(); err != nil {
 		f.Close() //opmlint:allow errdiscard — best-effort close on a failed open; the replay error is returned
@@ -251,7 +239,7 @@ func (s *Store) Put(digest, exp, key string, v any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//opmlint:allow lockscope — mu IS the single-writer journal serialization point: the append must happen under it or frames interleave
-	if err := s.appendFrame(digest, buf); err != nil {
+	if _, err := s.f.Write(buf); err != nil {
 		s.mCommitErrs.Inc()
 		return fmt.Errorf("store: journaling %s: %w", digest, err)
 	}

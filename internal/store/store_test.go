@@ -264,6 +264,174 @@ func TestBitFlippedChecksumSkipsOnlyThatRecord(t *testing.T) {
 	}
 }
 
+// flipByte flips the high bit of the journal byte at off under dir,
+// through a handle of its own, as silent disk damage would.
+func flipByte(t *testing.T, dir string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x80
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptWritesDetectedOnReplay checks on-disk damage to a record
+// the running session wrote: the session keeps serving its good
+// in-memory entry, the reopen fails the record's CRC, skips and counts
+// it, and the cell falls back to a miss. The recommitted record serves
+// again, and the close compacts the damage away, so the next open is
+// clean.
+func TestCorruptWritesDetectedOnReplay(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, nil)
+	d := Digest("v1", "m-corrupt")
+	want := payload{GFlops: 3.25, Label: "m-corrupt"}
+	if err := s.Put(d, "sparse/SpMV", "m-corrupt", want); err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, dir, frameOffsets(t, dir)[0][0]+frameHeaderLen)
+	var got payload
+	if ok, err := s.Get(d, &got); err != nil || !ok || got != want {
+		t.Fatalf("same-session get after on-disk damage: ok=%v err=%v got=%+v", ok, err, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	s2 := openT(t, dir, reg)
+	if st := s2.Stats(); st.Corrupt != 1 {
+		t.Fatalf("reopen Corrupt = %d, want 1 (%+v)", st.Corrupt, st)
+	}
+	if reg.Counter("store/corrupt_records").Value() != 1 {
+		t.Fatal("corrupt record not counted on replay")
+	}
+	if ok, _ := s2.Get(d, &got); ok {
+		t.Fatal("bit-flipped record served after reopen")
+	}
+	// The miss is survivable: the cell recomputes and recommits.
+	if err := s2.Put(d, "sparse/SpMV", "m-corrupt", want); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s2.Get(d, &got); err != nil || !ok || got != want {
+		t.Fatalf("recommit after corruption: ok=%v err=%v", ok, err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3 := openT(t, dir, nil)
+	defer s3.Close()
+	if st := s3.Stats(); st.Corrupt != 0 || s3.Len() != 1 {
+		t.Fatalf("journal still damaged after the recommit: %d live, %+v", s3.Len(), st)
+	}
+	got = payload{}
+	if ok, err := s3.Get(d, &got); err != nil || !ok || got != want {
+		t.Fatalf("recommitted record after reopen: ok=%v err=%v got=%+v", ok, err, got)
+	}
+}
+
+// TestTornWritesAreAbsorbed checks a torn append leaves no lasting
+// damage: after the open truncates a half-written final frame, the
+// lost record is recommitted and a new one appended, and the next
+// reopen replays a clean journal — no corrupt records, no truncated
+// tail, every value intact.
+func TestTornWritesAreAbsorbed(t *testing.T) {
+	dir := t.TempDir()
+	digests := seed(t, dir, 4)
+	last := frameOffsets(t, dir)[3]
+	if err := os.Truncate(filepath.Join(dir, journalName), last[0]+last[1]/2); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openT(t, dir, nil)
+	if st := s.Stats(); st.TruncatedBytes != last[1]/2 || st.Corrupt != 0 || s.Len() != 3 {
+		t.Fatalf("torn tail: %d live, %+v; want 3 live, %d bytes truncated", s.Len(), st, last[1]/2)
+	}
+	want := map[string]payload{}
+	for i, d := range digests {
+		want[d] = payload{GFlops: float64(i), Label: "x"}
+	}
+	want[Digest("new")] = payload{GFlops: 99, Label: "new"}
+	for _, d := range []string{digests[3], Digest("new")} {
+		if err := s.Put(d, "exp", d[:8], want[d]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openT(t, dir, nil)
+	defer s2.Close()
+	if st := s2.Stats(); st.Corrupt != 0 || st.TruncatedBytes != 0 {
+		t.Fatalf("journal still damaged on reopen: %+v", st)
+	}
+	if s2.Len() != len(want) {
+		t.Fatalf("reopen holds %d records, want %d", s2.Len(), len(want))
+	}
+	for d, w := range want {
+		var got payload
+		if ok, err := s2.Get(d, &got); err != nil || !ok || got != w {
+			t.Fatalf("get %s after torn-tail recovery: ok=%v err=%v got=%+v", d[:8], ok, err, got)
+		}
+	}
+}
+
+// TestStoreChaosMix puts both kinds of on-disk damage in one journal of
+// 64 records: a payload byte flipped in every third frame and a torn
+// final frame. The reopen drops exactly the flipped records, truncates
+// the torn one, and serves every other record with its exact value.
+func TestStoreChaosMix(t *testing.T) {
+	dir := t.TempDir()
+	const n = 64
+	digests := seed(t, dir, n)
+	frames := frameOffsets(t, dir)
+	damaged := map[int]bool{}
+	for i := 0; i < n-1; i += 3 {
+		flipByte(t, dir, frames[i][0]+frameHeaderLen+(frames[i][1]-frameHeaderLen)/2)
+		damaged[i] = true
+	}
+	flippedN := len(damaged)
+	last := frames[n-1]
+	if err := os.Truncate(filepath.Join(dir, journalName), last[0]+last[1]-3); err != nil {
+		t.Fatal(err)
+	}
+	damaged[n-1] = true
+
+	reg := obs.NewRegistry()
+	s := openT(t, dir, reg)
+	defer s.Close()
+	st := s.Stats()
+	if st.Corrupt != flippedN || reg.Counter("store/corrupt_records").Value() != int64(flippedN) {
+		t.Fatalf("reopen dropped %d records, want the %d flipped", st.Corrupt, flippedN)
+	}
+	if st.TruncatedBytes != last[1]-3 {
+		t.Fatalf("truncated %d bytes, want the torn frame's %d", st.TruncatedBytes, last[1]-3)
+	}
+	if got, want := s.Len(), n-len(damaged); got != want {
+		t.Fatalf("survivors = %d, want %d", got, want)
+	}
+	for i, d := range digests {
+		var got payload
+		ok, err := s.Get(d, &got)
+		if err != nil || ok == damaged[i] {
+			t.Fatalf("record %d (damaged %v): ok=%v err=%v", i, damaged[i], ok, err)
+		}
+		if ok && got != (payload{GFlops: float64(i), Label: "x"}) {
+			t.Fatalf("record %d served %+v", i, got)
+		}
+	}
+}
+
 func TestVersionMismatchedEntrySkipped(t *testing.T) {
 	dir := t.TempDir()
 	digests := seed(t, dir, 2)

@@ -21,14 +21,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // Engine configures one sweep run. The zero value is ready to use:
-// GOMAXPROCS workers, no progress reporting, no telemetry, no
-// resilience policy, no fault injection.
+// GOMAXPROCS workers, no progress reporting, no telemetry.
 type Engine struct {
 	// Workers bounds the pool size; <= 0 selects runtime.GOMAXPROCS(0).
 	// Workers = 1 reproduces the sequential path exactly (and is what
@@ -42,26 +39,12 @@ type Engine struct {
 	// and worker-utilization plus ETA gauges (see Map for the metric
 	// names). A nil registry costs one branch per job.
 	Obs *obs.Registry
-	// Policy, when non-nil, applies per-job resilience: retry with
-	// capped exponential backoff and seeded jitter for transient
-	// failures, a per-attempt deadline, and a per-sweep circuit
-	// breaker that short-circuits the remaining jobs after a run of
-	// consecutive drops. Nil reproduces the single-attempt behaviour
-	// at the cost of one branch per job.
-	Policy *resilience.Policy
-	// Inject, when non-nil, is the chaos hook: the engine fires the
-	// injector's "job" point (keyed by submission index in Map, by the
-	// caller's key in Run) before every attempt. Nil — the production
-	// setting — costs one branch per job; the chaos suite's
-	// nil-injector benchmark holds it there.
-	Inject *faultinject.Injector
 	// Trace, when non-nil, receives the causal per-job event chain:
-	// enqueue/dispatch/done on every job, plus attempt/retry/breaker
-	// events from the resilient path and estimator/gate/store events
-	// from the layers below (via the job context). Nil — the default —
-	// costs one branch per job. Like Obs, the tracer observes the sweep
-	// without touching its results: traced and untraced runs are
-	// byte-identical.
+	// enqueue/dispatch/done on every job, plus estimator/gate/store
+	// events from the layers below (via the job context). Nil — the
+	// default — costs one branch per job. Like Obs, the tracer observes
+	// the sweep without touching its results: traced and untraced runs
+	// are byte-identical.
 	Trace *obs.Tracer
 
 	// traceMeta, when set (by MapCached), supplies each job's stable
@@ -205,10 +188,9 @@ func (w *Worker) Drop(key any) {
 }
 
 // Map runs fn over every job on the engine's worker pool and returns
-// the results in submission order. Each job goes through Run with the
-// sweep's breaker and its submission index as key. A failed (or
-// panicking) job contributes its zero-value result and a JobError; the
-// sweep continues. When ctx is cancelled or times out, workers stop
+// the results in submission order. Each job goes through Run, once. A
+// failed (or panicking) job contributes its zero-value result and a
+// JobError; the sweep continues. When ctx is cancelled or times out, workers stop
 // promptly and every unstarted job records the context error. The
 // returned error is nil when every job succeeded, otherwise the
 // accumulated Errors (sorted by job index).
@@ -279,11 +261,6 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 			}
 		}
 	}
-	// One breaker per Map call (= per sweep family); nil without a
-	// policy. The submission index keys each job for the injector and
-	// the backoff jitter, which only a policy or an injector reads.
-	breaker := e.Policy.NewBreaker()
-	keyed := e.Policy != nil || e.Inject != nil
 	// etaRate is the EWMA-smoothed overall ns-per-job estimate,
 	// guarded by mu (report is serialized).
 	var etaRate float64
@@ -351,11 +328,7 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 					tr.Emit(traceIDs[i], obs.EvDispatch, traceKeys[i], wi, 0, "")
 					jctx = obs.WithTraceContext(ctx, tr, traceIDs[i], traceKeys[i], wi)
 				}
-				key := ""
-				if keyed {
-					key = strconv.Itoa(i)
-				}
-				r, err := Run(jctx, e, breaker, w, key, jobs[i], fn)
+				r, err := Run(jctx, e, w, jobs[i], fn)
 				if err != nil {
 					fail(i, err)
 				} else {
@@ -391,6 +364,26 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 	}
 	sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
 	return results, errs
+}
+
+// Run executes one job the way Map executes each of its jobs, on the
+// caller's goroutine and worker w: one call of fn with panic
+// containment. A panicking job (e.g. a buffer bounds violation in a
+// trace generator) becomes that job's error instead of killing the
+// whole sweep, counted on sweep/job_panics when e.Obs is set. The serve
+// daemon runs each cold cell through it on a borrowed worker, so batch
+// sweeps and the daemon share one runner. e may be nil.
+func Run[J, R any](ctx context.Context, e *Engine, w *Worker, job J,
+	fn func(context.Context, *Worker, J) (R, error)) (r R, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if e != nil {
+				e.Obs.Counter("sweep/job_panics").Inc()
+			}
+			err = fmt.Errorf("sweep: job panicked: %v", p)
+		}
+	}()
+	return fn(ctx, w, job)
 }
 
 // Compact splits a Map outcome into the surviving results and the

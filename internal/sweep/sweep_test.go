@@ -87,6 +87,27 @@ func TestMapRecoversPanics(t *testing.T) {
 	}
 }
 
+// TestPermanentErrorNotRetried checks that every job runs once: a
+// failing job's function is called exactly one time, through Map and
+// through Run, and its error is returned as is.
+func TestPermanentErrorNotRetried(t *testing.T) {
+	var calls atomic.Int64
+	bug := errors.New("deterministic model bug")
+	fn := func(context.Context, *Worker, int) (int, error) {
+		calls.Add(1)
+		return 0, bug
+	}
+	if _, err := Map(context.Background(), &Engine{Workers: 1}, []int{0}, fn); !errors.Is(err, bug) {
+		t.Fatalf("Map = %v, want the job's error", err)
+	}
+	if _, err := Run(context.Background(), nil, NewWorker(0), 0, fn); err != bug {
+		t.Fatalf("Run = %v, want the job's error", err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("two failing jobs made %d calls, want one each", got)
+	}
+}
+
 // TestMapCancellationIsPrompt checks a cancelled sweep stops quickly,
 // keeps the results already computed, and marks the rest with the
 // context error.
@@ -130,6 +151,59 @@ func TestMapCancellationIsPrompt(t *testing.T) {
 	}
 	if completed == 0 {
 		t.Fatal("partial results lost")
+	}
+	if _, _, err := Compact(out, err); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compact must treat cancellation as fatal, got %v", err)
+	}
+}
+
+// TestCancellationBetweenAttemptsRace cancels a sweep from another
+// goroutine while failing jobs are in flight — the -race exercise of
+// the cancel, job-failure and drain interleavings. No job runs twice,
+// every job is accounted for in the sweep's errors (its own failure
+// or the cancellation), the sweep reports the cancellation, and
+// Compact treats it as fatal rather than as a run of dropped jobs.
+func TestCancellationBetweenAttemptsRace(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	jobs := make([]int, 64)
+	for i := range jobs {
+		jobs[i] = i
+	}
+	runs := make([]atomic.Int64, len(jobs))
+	var started atomic.Int64
+	eighth := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		<-eighth
+		cancel()
+	}()
+	out, err := Map(ctx, &Engine{Workers: 4}, jobs, func(ctx context.Context, _ *Worker, j int) (int, error) {
+		runs[j].Add(1)
+		if started.Add(1) == 8 {
+			close(eighth)
+		}
+		select {
+		case <-time.After(2 * time.Millisecond):
+		case <-ctx.Done():
+		}
+		return 0, fmt.Errorf("cell %d flaked", j)
+	})
+	<-done
+	var errs Errors
+	if !errors.As(err, &errs) || !errs.Canceled() {
+		t.Fatalf("cancelled sweep err = %v", err)
+	}
+	if len(errs) != len(jobs) {
+		t.Fatalf("%d errors for %d failing or cancelled jobs", len(errs), len(jobs))
+	}
+	for j := range runs {
+		if n := runs[j].Load(); n > 1 {
+			t.Fatalf("job %d ran %d times", j, n)
+		}
+	}
+	if n := started.Load(); n < 8 || n == int64(len(jobs)) {
+		t.Fatalf("%d of %d jobs started; the cancel must land mid-sweep", n, len(jobs))
 	}
 	if _, _, err := Compact(out, err); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Compact must treat cancellation as fatal, got %v", err)
@@ -292,5 +366,19 @@ func TestEngineDefaults(t *testing.T) {
 	}
 	if n := (&Engine{Workers: 16}).workerCount(4); n != 4 {
 		t.Fatalf("workerCount should clamp to job count, got %d", n)
+	}
+}
+
+// BenchmarkMap pins the engine's per-job cost: Map over 256 no-op jobs
+// on four workers, with no telemetry, tracing or progress attached.
+func BenchmarkMap(b *testing.B) {
+	e := &Engine{Workers: 4}
+	jobs := make([]int, 256)
+	fn := func(_ context.Context, _ *Worker, j int) (int, error) { return j + 1, nil }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Map(context.Background(), e, jobs, fn); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -65,7 +65,7 @@ bench() { # package regex benchtime
 	go test -run '^$' -bench "$2" -benchtime "$3" -count 1 -json "$1" >>"$raw"
 }
 
-bench ./internal/sweep  'BenchmarkMap(DisabledResilience|IdleResilience|NilInjector)$' 100x
+bench ./internal/sweep  'BenchmarkMap$' 100x
 bench ./internal/cache  'Benchmark(SetAssocAccess|DirectMappedAccess|DirectMappedReset)$' 1s
 bench ./internal/memsim 'Benchmark(SimStreamingAccess|SimScalarGather)$' 1s
 bench ./internal/harness 'BenchmarkCurveCellKNL$' 20x

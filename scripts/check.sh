@@ -14,8 +14,8 @@ echo "== go vet $pkgs"
 go vet $pkgs
 
 # opmlint is this repo's own contract linter (cmd/opmlint): it
-# mechanizes the determinism, telemetry and resilience rules the
-# equivalence suites depend on. It is a hard gate — a finding fails
+# mechanizes the determinism, telemetry, store-safety and concurrency
+# rules the equivalence suites depend on. It is a hard gate — a finding fails
 # the build; legitimate exceptions carry //opmlint:allow annotations
 # with reasons (see DESIGN.md §10).
 echo "== opmlint $pkgs"
@@ -52,8 +52,7 @@ go test -race -timeout 60m $pkgs
 # SetAssoc.Access and Insert, down to every call on the memory side;
 # FuzzOpen holds the store's journal replay to never failing
 # an open and to leaving a store that reopens clean after a Put and a
-# Close; FuzzParse holds the -faults grammar to round-tripping every
-# spec it accepts; FuzzParseMode holds ParseMode and Mode's
+# Close; FuzzParseMode holds ParseMode and Mode's
 # UnmarshalText to agreeing and every accepted label to re-marshalling
 # byte-identical; FuzzEntryEncode holds the store's one-buffer journal
 # frame to header + json.Marshal bytes; FuzzQueryRequest holds the
@@ -66,7 +65,7 @@ go test -race -timeout 60m $pkgs
 # generator to its COO-built reference (internal/sparse/gen_ref_test.go),
 # bit for bit, or to panicking where the reference does. Plain
 # `go test` above replays only the committed seed corpora.
-for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzFront internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/faultinject:FuzzParse internal/serve:FuzzQueryRequest cmd/opmserve:FuzzParseAdmit internal/sparse:FuzzGenerators; do
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzFront internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/serve:FuzzQueryRequest cmd/opmserve:FuzzParseAdmit internal/sparse:FuzzGenerators; do
 	pkg="./${target%%:*}"
 	fn="${target#*:}"
 	echo "== go test -fuzz $fn $pkg (10s)"
@@ -85,15 +84,3 @@ go test -race -count=2 ./internal/store
 # perf change re-baselines with `make bench-baseline`.
 echo "== bench gate (scripts/bench-json.sh -check)"
 scripts/bench-json.sh -check
-
-# Chaos gate: the fault-injection scenarios run explicitly, under the
-# race detector, with their fixed fault seeds (every chaos spec pins
-# seed=N, so the injected fault set is identical on every run). The
-# torn-write scenarios (TestChaosStoreTornWrites and
-# TestTornWritesAreAbsorbed) assert the store-corruption counters —
-# store/torn_writes and store/write_repairs — are non-zero, so a
-# silently disabled injector fails this gate instead of passing
-# vacuously.
-echo "== chaos suite (go test -race, fixed fault seeds)"
-go test -race -count=1 -run 'TestChaos|TestTornWrites|TestCorruptWrites|TestStoreChaos' \
-	./internal/harness ./internal/store
