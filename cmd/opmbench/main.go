@@ -2,7 +2,8 @@
 // experiment renders its figure as text, prints headline findings, and
 // (with -out) writes CSV series suitable for replotting. Sweeps run on
 // the concurrent sweep engine; -workers bounds its pool and -timeout
-// aborts a run that exceeds its wall-clock budget. Every job runs once:
+// aborts a run that exceeds its wall-clock budget at the next cell
+// boundary (a cell in flight runs to completion). Every job runs once:
 // a cell that fails, or whose result fails the validation gate, is
 // dropped and named in a WARNING finding (a figure that cannot lose a
 // cell, such as the power figure's geometric mean, fails instead), and
@@ -63,7 +64,7 @@ func run() (code int) {
 		quiet    = flag.Bool("q", false, "suppress rendered figures (findings only)")
 		timeRun  = flag.Bool("time", true, "print per-experiment wall time")
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		timeout  = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit); bounds total wall clock across every experiment")
+		timeout  = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit), across every experiment; a cell in flight runs to completion and the run stops at the next cell boundary")
 		progress = flag.Bool("progress", false, "report sweep progress (done/total/ETA) on stderr")
 		strict   = flag.Bool("strict", false, "exit non-zero when a sweep dropped jobs (partial reports are still written)")
 

@@ -200,7 +200,7 @@ func (a *admission) has(class string) bool {
 func (a *admission) acquire(ctx context.Context, class string) (time.Duration, error) {
 	b, ok := a.classes[class]
 	if !ok {
-		return 0, fmt.Errorf("serve: unknown admission class %q", class)
+		return 0, &requestError{fmt.Errorf("serve: unknown admission class %q", class)}
 	}
 	return b.acquire(ctx, class)
 }

@@ -57,15 +57,88 @@ type QueryResponse struct {
 	Cell json.RawMessage `json:"cell"`
 }
 
-// cell is one resolved query target: its store identity plus the
-// compute and render hooks.
+// cell is one resolved query target: its store identity, the mode the
+// query asked for, and the compute and view hooks.
 type cell struct {
 	family  string // store sweep family, also the provenance label Put records
 	cfgHash string
 	key     string
+	mode    memsim.Mode
 
 	compute func(ctx context.Context, w *sweep.Worker) (any, error)
-	render  func(data []byte, resp *QueryResponse) error
+	// view builds the cell's response view: from v, the value compute
+	// returned, when the cell was just computed, or else by decoding
+	// the view's fields from data, the cell's journaled bytes.
+	view func(v any, data []byte) (cellView, error)
+}
+
+// numModes sizes a view's per-mode slots: ParseMode accepts the modes
+// from ModeDDR through ModeEDRAMMemSide.
+const numModes = int(memsim.ModeEDRAMMemSide) + 1
+
+// cellView is what a /v1/query answer reads of its cell, per mode. A
+// curve cell's digest does not depend on the mode, so its view holds
+// every mode the cell holds and one hot entry answers each. A dense
+// cell's digest pins its mode, so its view repeats its numbers in
+// every slot.
+type cellView struct {
+	footprint int64
+	gflops    [numModes]float64
+	gbs       [numModes]float64
+}
+
+// curveView builds a curve cell's view from its harness.CurvePoint,
+// decoding one from data when v is not one: the point holds only the
+// view's fields.
+func curveView(v any, data []byte) (cellView, error) {
+	pt, ok := v.(harness.CurvePoint)
+	if !ok {
+		if err := json.Unmarshal(data, &pt); err != nil {
+			return cellView{}, fmt.Errorf("serve: decoding curve cell: %w", err)
+		}
+	}
+	view := cellView{footprint: pt.Footprint}
+	for m, g := range pt.GFlops {
+		view.gflops[m] = g
+	}
+	for m, gbs := range pt.GBs {
+		view.gbs[m] = gbs
+	}
+	return view, nil
+}
+
+// denseView builds a dense cell's view from its memsim.Result,
+// decoding only the two fields the view reads from data when v is not
+// one.
+func denseView(v any, data []byte) (cellView, error) {
+	var r struct {
+		GFlops         float64
+		FootprintBytes int64
+	}
+	if res, ok := v.(memsim.Result); ok {
+		r.GFlops, r.FootprintBytes = res.GFlops, res.FootprintBytes
+	} else if err := json.Unmarshal(data, &r); err != nil {
+		return cellView{}, fmt.Errorf("serve: decoding dense cell: %w", err)
+	}
+	view := cellView{footprint: r.FootprintBytes}
+	for m := range view.gflops {
+		view.gflops[m] = r.GFlops
+	}
+	return view, nil
+}
+
+// response answers the cell's query from its hot-set entry: the view's
+// numbers in the query's mode, and the journaled bytes.
+func (c *cell) response(digest, traceID, source string, e hotEntry) QueryResponse {
+	return QueryResponse{
+		Digest:    digest,
+		Trace:     traceID,
+		Source:    source,
+		GFlops:    e.view.gflops[c.mode],
+		AppGBs:    e.view.gbs[c.mode],
+		Footprint: e.view.footprint,
+		Cell:      e.data,
+	}
 }
 
 // digest returns the store digest of this cell, byte-compatible with
@@ -138,19 +211,11 @@ func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 			family:  harness.CurveSweepID(kernel),
 			cfgHash: cs.cfgHash,
 			key:     harness.CurveCellKey(fp),
+			mode:    mode,
 			compute: func(ctx context.Context, w *sweep.Worker) (any, error) {
 				return spec.ComputeCell(ctx, eng, w, core.Exact, kernel, fp)
 			},
-			render: func(data []byte, resp *QueryResponse) error {
-				var pt harness.CurvePoint
-				if err := json.Unmarshal(data, &pt); err != nil {
-					return fmt.Errorf("serve: decoding curve cell: %w", err)
-				}
-				resp.GFlops = pt.GFlops[mode]
-				resp.AppGBs = pt.GBs[mode]
-				resp.Footprint = pt.Footprint
-				return nil
-			},
+			view: curveView,
 		}, nil
 
 	case req.Kind != "" && req.Kernel == "":
@@ -171,19 +236,12 @@ func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 			family:  harness.DenseSweepID,
 			cfgHash: "",
 			key:     harness.DenseKey(j),
+			mode:    mode,
 			compute: func(ctx context.Context, _ *sweep.Worker) (any, error) {
 				// Dense cells are analytic; no pooled simulator involved.
 				return core.Exact.EstimateDense(ctx, eng, j, core.DenseCellKey(j))
 			},
-			render: func(data []byte, resp *QueryResponse) error {
-				var r memsim.Result
-				if err := json.Unmarshal(data, &r); err != nil {
-					return fmt.Errorf("serve: decoding dense cell: %w", err)
-				}
-				resp.GFlops = r.GFlops
-				resp.Footprint = r.FootprintBytes
-				return nil
-			},
+			view: denseView,
 		}, nil
 	}
 	return nil, fmt.Errorf("serve: query must name either a curve kernel (kernel + footprint_bytes) or a dense cell (kind + n + nb)")

@@ -151,7 +151,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		for i, q := range req.Queries {
 			q.Class = class
 			resp, err := s.answer(s.base, q)
-			s.jobs.update(job, i, resp, err)
+			s.jobs.update(job, i, &resp, err)
 		}
 	}()
 	writeJSON(w, http.StatusAccepted, map[string]string{"job": job.ID})

@@ -8,15 +8,19 @@
 // An in-memory LRU hot set keyed by store content digests sits in
 // front of the journal — hits serve the exact bytes a batch run
 // journaled and never touch disk or the worker pool. Journal hits
-// promote into the hot set. Misses pass token-bucket admission control
-// (per-class rates, bounded wait queue, 429 + Retry-After on overflow),
-// then borrow the lowest-numbered idle one of a fixed set of
-// persistent sweep workers, whose pooled simulators stay warm across
-// requests, and compute on the request's own goroutine through
-// sweep.Run — the runner batch sweeps use. Computed cells are
-// journaled under the same digests the batch sweeps use, so the daemon
-// and opmbench warm each other. Every cell is the exact one
-// (core.Exact): a cold query waits for its computation.
+// promote into the hot set. Each entry holds, beside the bytes, the
+// fields an answer reads, taken from a computed cell's value or
+// decoded once at promotion, so a hit decodes nothing and an answer
+// writes the journaled bytes verbatim. Misses pass token-bucket
+// admission control (per-class rates, bounded wait queue, 429 +
+// Retry-After on overflow), then borrow the lowest-numbered idle one
+// of a fixed set of persistent sweep workers, whose pooled simulators
+// stay warm across requests, and compute on the request's own
+// goroutine through sweep.Run — the runner batch sweeps use. Computed
+// cells are encoded once and journaled under the same digests the
+// batch sweeps use, so the daemon and opmbench warm each other. Every
+// cell is the exact one (core.Exact): a cold query waits for its
+// computation.
 package serve
 
 import (
@@ -25,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -230,12 +235,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQuery(w, &resp)
 }
 
-// writeQueryError maps an answer error onto its status code.
+// requestError is an answer error the request itself caused: a query
+// the catalog cannot resolve, or an unknown admission class.
+type requestError struct{ err error }
+
+func (e *requestError) Error() string { return e.err.Error() }
+func (e *requestError) Unwrap() error { return e.err }
+
+// writeQueryError maps an answer error onto its status code. Errors
+// the request caused answer 400; the daemon's own failures (a compute
+// that errs, panics or fails the result gate, or a journaled cell that
+// does not decode) answer 500.
 func writeQueryError(w http.ResponseWriter, err error) {
-	var over *OverloadError
+	var (
+		over *OverloadError
+		bad  *requestError
+	)
 	switch {
 	case errors.As(err, &over):
 		secs := int64(over.RetryAfter/time.Second) + 1
@@ -243,66 +261,62 @@ func writeQueryError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		httpError(w, 499, err) // client went away mid-wait
-	default:
+	case errors.As(err, &bad):
 		httpError(w, http.StatusBadRequest, err)
+	default:
+		httpError(w, http.StatusInternalServerError, err)
 	}
 }
 
 // answer runs the full serving path for one request. The caller must
 // hold a begin() slot.
-func (s *Server) answer(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
+func (s *Server) answer(ctx context.Context, req QueryRequest) (QueryResponse, error) {
 	start := nowNS()
 	defer func() {
 		s.observeClass(req.Class, time.Duration(nowNS()-start))
 	}()
 	c, err := s.cat.resolve(req, s.eng)
 	if err != nil {
-		return nil, err
+		return QueryResponse{}, &requestError{err}
 	}
 	digest := c.digest()
 	traceID := harness.CellTraceID(digest)
 	traceKey := c.family + "/" + c.key
 	s.tr.Emit(traceID, obs.EvServeRecv, traceKey, -1, 0, "query|"+req.Class)
 
-	// Layer 1: the hot set. Hits never touch disk or the pool.
+	// Layer 1: the hot set. Hits never touch disk or the pool, and
+	// decode nothing.
 	lookStart := nowNS()
-	if data, ok := s.hot.get(digest); ok {
+	if e, ok := s.hot.get(digest); ok {
 		s.reg.Counter("serve/hits").Inc()
 		s.tr.Emit(traceID, obs.EvServeHot, traceKey, -1, time.Duration(nowNS()-lookStart), "")
-		return s.respond(c, digest, traceID, "hot", data)
+		return c.response(digest, traceID, "hot", e), nil
 	}
 	s.reg.Counter("serve/misses").Inc()
 
-	// Layer 2: the journal. Hits promote into the hot set.
+	// Layer 2: the journal. A hit decodes its view once, here, and
+	// promotes into the hot set; a cell that does not decode is not
+	// cached.
 	if data, ok := s.st.GetRaw(digest); ok {
 		s.reg.Counter("serve/store_hits").Inc()
-		s.hot.add(digest, data)
 		s.tr.Emit(traceID, obs.EvStoreHit, traceKey, -1, time.Duration(nowNS()-lookStart), "serve")
-		return s.respond(c, digest, traceID, "store", data)
+		view, err := c.view(nil, data)
+		if err != nil {
+			s.reg.Counter("serve/errors").Inc()
+			return QueryResponse{}, err
+		}
+		e := hotEntry{data: data, view: view}
+		s.hot.add(digest, e)
+		return c.response(digest, traceID, "store", e), nil
 	}
 
 	// Layers 3–5: admission, worker pool, compute.
-	data, err := s.computeCell(ctx, c, digest, traceID, traceKey, req.Class)
+	e, err := s.computeCell(ctx, c, digest, traceID, traceKey, req.Class)
 	if err != nil {
-		return nil, err
+		return QueryResponse{}, err
 	}
-	s.hot.add(digest, data)
-	return s.respond(c, digest, traceID, "computed", data)
-}
-
-// respond renders a response from a cell's stored bytes.
-func (s *Server) respond(c *cell, digest, traceID, source string, data []byte) (*QueryResponse, error) {
-	resp := &QueryResponse{
-		Digest: digest,
-		Trace:  traceID,
-		Source: source,
-		Cell:   json.RawMessage(data),
-	}
-	if err := c.render(data, resp); err != nil {
-		s.reg.Counter("serve/errors").Inc()
-		return nil, err
-	}
-	return resp, nil
+	s.hot.add(digest, e)
+	return c.response(digest, traceID, "computed", e), nil
 }
 
 // admit passes one request through its class's token bucket, emitting
@@ -323,19 +337,19 @@ func (s *Server) admit(ctx context.Context, class, traceID, traceKey string) err
 }
 
 // computeCell runs the admitted cold path: borrow a worker, evaluate
-// through sweep.Run (panic containment, sweep/job_panics), journal, and
-// return the cell's canonical bytes. It emits the same
-// enqueue→dispatch→done chain shape batch sweeps emit, so opmprof reads
-// serve chains natively.
-func (s *Server) computeCell(ctx context.Context, c *cell, digest, traceID, traceKey, class string) ([]byte, error) {
+// through sweep.Run (panic containment, sweep/job_panics), encode the
+// value once, build its view from the value, journal the bytes, and
+// return both. It emits the same enqueue→dispatch→done chain shape
+// batch sweeps emit, so opmprof reads serve chains natively.
+func (s *Server) computeCell(ctx context.Context, c *cell, digest, traceID, traceKey, class string) (hotEntry, error) {
 	if err := s.admit(ctx, class, traceID, traceKey); err != nil {
-		return nil, err
+		return hotEntry{}, err
 	}
 	s.tr.Emit(traceID, obs.EvEnqueue, traceKey, -1, 0, "serve")
 
 	var (
-		data []byte
-		err  error
+		e   hotEntry
+		err error
 	)
 	runErr := s.pool.run(ctx, func(w *sweep.Worker) {
 		busy := nowNS()
@@ -349,15 +363,17 @@ func (s *Server) computeCell(ctx context.Context, c *cell, digest, traceID, trac
 			s.tr.Emit(traceID, obs.EvError, traceKey, w.ID(), 0, err.Error())
 			return
 		}
-		data, err = json.Marshal(v)
-		if err != nil {
+		if e.data, err = json.Marshal(v); err != nil {
 			err = fmt.Errorf("serve: encoding cell: %w", err)
+			return
+		}
+		if e.view, err = c.view(v, e.data); err != nil {
 			return
 		}
 		if s.st != nil {
 			commit := nowNS()
 			//opmlint:allow ctxflow — a journal append must complete once begun; a frame torn by cancellation is exactly the corruption the store guards against
-			if perr := s.st.Put(digest, c.family, c.key, json.RawMessage(data)); perr != nil {
+			if perr := s.st.Put(digest, c.family, c.key, json.RawMessage(e.data)); perr != nil {
 				// A failed checkpoint must slow serving down, never
 				// kill it — same contract as the batch sweeps.
 				s.reg.Counter("serve/commit_errors").Inc()
@@ -371,14 +387,14 @@ func (s *Server) computeCell(ctx context.Context, c *cell, digest, traceID, trac
 		// Cancelled while waiting for a worker: the closure did not run
 		// and nothing was dispatched or journaled.
 		s.reg.Counter("serve/errors").Inc()
-		return nil, runErr
+		return hotEntry{}, runErr
 	}
 	if err != nil {
 		s.reg.Counter("serve/errors").Inc()
-		return nil, err
+		return hotEntry{}, err
 	}
 	s.reg.Counter("serve/computed").Inc()
-	return data, nil
+	return e, nil
 }
 
 // handleHealthz reports liveness; a draining daemon answers 503 so
@@ -428,6 +444,78 @@ func decodeBody(body io.Reader, v any) error {
 		return errors.New("trailing data after the JSON value")
 	}
 	return nil
+}
+
+// queryBufs pools the buffers writeQuery builds answers in.
+var queryBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledQuery caps the buffer writeQuery returns to the pool, so one
+// outsized cell does not pin its buffer.
+const maxPooledQuery = 64 << 10
+
+// writeQuery writes a /v1/query 200 answer: the bytes
+// writeJSON(w, http.StatusOK, resp) writes, built in a pooled buffer
+// with no encoding/json pass over the cell.
+func writeQuery(w http.ResponseWriter, resp *QueryResponse) {
+	bp := queryBufs.Get().(*[]byte)
+	b := appendQuery((*bp)[:0], resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) //opmlint:allow errdiscard — the status line is already committed; a write error means the client hung up and there is no channel left to report on
+	if cap(b) <= maxPooledQuery {
+		*bp = b
+		queryBufs.Put(bp)
+	}
+}
+
+// appendQuery appends the JSON line json.Encoder writes for r with
+// SetEscapeHTML(false): the head fields in order, the omitempty ones
+// left out at zero, floats in encoding/json's format, then the cell
+// bytes verbatim and a newline. The encoder would compact the cell,
+// which leaves json.Marshal output, the only cell bytes the daemon
+// holds, as it is. The strings are written unescaped, as the digest and
+// trace ID are hex and the source one of three words, and the floats
+// are finite: the result gate refuses a non-finite result, and JSON
+// holds none.
+func appendQuery(b []byte, r *QueryResponse) []byte {
+	b = append(b, `{"digest":"`...)
+	b = append(b, r.Digest...)
+	b = append(b, `","trace":"`...)
+	b = append(b, r.Trace...)
+	b = append(b, `","source":"`...)
+	b = append(b, r.Source...)
+	b = append(b, `","gflops":`...)
+	b = appendFloat(b, r.GFlops)
+	if r.AppGBs != 0 {
+		b = append(b, `,"app_gbs":`...)
+		b = appendFloat(b, r.AppGBs)
+	}
+	if r.Footprint != 0 {
+		b = append(b, `,"footprint_bytes":`...)
+		b = strconv.AppendInt(b, r.Footprint, 10)
+	}
+	b = append(b, `,"cell":`...)
+	b = append(b, r.Cell...)
+	return append(b, "}\n"...)
+}
+
+// appendFloat appends f as encoding/json writes a float64: the
+// shortest decimal that round-trips, in 'f' format, or in 'e' format
+// with its exponent unpadded (1e-7, not 1e-07) below 1e-6 or from 1e21
+// in magnitude.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"runtime/debug"
 	"testing"
 
@@ -208,6 +210,38 @@ func BenchmarkStorePut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := s.Put(d, "dense", "key", r); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestPutRawMessageJournalsMarshalBytes: Put journals a json.RawMessage
+// as given, so Put of json.Marshal(v) writes the same journal bytes as
+// Put of v, for a dense result and for a payload whose strings
+// json.Marshal escapes.
+func TestPutRawMessageJournalsMarshalBytes(t *testing.T) {
+	d := Digest("v", "", "dense", "key")
+	for name, v := range map[string]any{
+		"result":  denseResult(t),
+		"hostile": payload{GFlops: 1e21, Label: "a <b> & \"c\" \\ \u2028 \u2029 \x01 \xff"},
+	} {
+		var journals [2][]byte
+		for i, put := range []any{v, marshalT(t, v)} {
+			dir := t.TempDir()
+			s := openT(t, dir, nil)
+			if err := s.Put(d, "dense", "key", put); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, journalName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			journals[i] = data
+		}
+		if !bytes.Equal(journals[0], journals[1]) {
+			t.Fatalf("%s: Put of the marshalled bytes journals\n%q\nPut of the value\n%q", name, journals[1], journals[0])
 		}
 	}
 }

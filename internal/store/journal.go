@@ -103,9 +103,10 @@ type scanOutcome struct {
 	// frame; bytes beyond it are torn or unframeable and must be
 	// truncated before appending.
 	goodEnd int64
-	// corrupt counts interior records whose checksum or JSON failed;
-	// stale counts records of a different schema version; truncated
-	// is the number of tail bytes cut off.
+	// corrupt counts interior records whose checksum or JSON failed,
+	// or that lack a digest or a data member; stale counts records of
+	// a different schema version; truncated is the number of tail
+	// bytes cut off.
 	corrupt   int
 	stale     int
 	truncated int64
@@ -141,8 +142,11 @@ func scanJournal(r io.Reader, start, size int64) scanOutcome {
 			out.corrupt++
 			continue
 		}
+		// Put always writes a data member; a record without one would
+		// replay as an empty payload, and a compaction would rewrite it
+		// as null, which decodes without error into a zero value.
 		var e entry
-		if err := json.Unmarshal(payload, &e); err != nil || e.Digest == "" {
+		if err := json.Unmarshal(payload, &e); err != nil || e.Digest == "" || len(e.Data) == 0 {
 			out.corrupt++
 			continue
 		}

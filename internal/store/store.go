@@ -56,9 +56,9 @@ type Stats struct {
 	// Hits, Misses and Commits count Get/Put outcomes this session.
 	Hits, Misses, Commits int
 	// Corrupt and Stale count journal records dropped on open
-	// (checksum/JSON damage and schema-version mismatch
-	// respectively); Superseded counts records shadowed by a later
-	// commit to the same digest.
+	// (checksum/JSON damage or a missing digest or data member, and
+	// schema-version mismatch respectively); Superseded counts records
+	// shadowed by a later commit to the same digest.
 	Corrupt, Stale, Superseded int
 	// TruncatedBytes is how much torn tail the open-time scan cut.
 	TruncatedBytes int64
@@ -217,16 +217,23 @@ func (s *Store) GetRaw(digest string) ([]byte, bool) {
 
 // Put journals a result under its digest — one framed, checksummed
 // append — and indexes it (last writer wins). This is the sweep's
-// checkpoint: once Put returns, the result survives a crash. On a nil
-// store Put is a no-op.
+// checkpoint: once Put returns, the result survives a crash. A
+// json.RawMessage is journaled as given and indexed without a copy, so
+// a caller that already encoded its value does not pay a second pass:
+// it must be json.Marshal output, compact and HTML-escaped, which
+// marshalling it again would leave unchanged, and must not be modified
+// after. Any other value is marshalled. On a nil store Put is a no-op.
 func (s *Store) Put(digest, exp, key string, v any) error {
 	if s == nil {
 		return nil
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		s.countCommitErr()
-		return fmt.Errorf("store: encoding %s: %w", digest, err)
+	data, ok := v.(json.RawMessage)
+	if !ok {
+		var err error
+		if data, err = json.Marshal(v); err != nil {
+			s.countCommitErr()
+			return fmt.Errorf("store: encoding %s: %w", digest, err)
+		}
 	}
 	e := entry{V: entryVersion, Digest: digest, Exp: exp, Key: key, Data: data}
 	buf, err := encodeFrame(e)

@@ -432,22 +432,27 @@ func TestStoreChaosMix(t *testing.T) {
 	}
 }
 
+// TestVersionMismatchedEntrySkipped appends two CRC-valid records that
+// replay must not serve: one from a "future" schema generation, counted
+// stale, and one of this generation with no data member, counted
+// corrupt. A record without data would otherwise replay as an empty
+// payload that a compaction rewrites as null, which Get decodes
+// without error into a zero value.
 func TestVersionMismatchedEntrySkipped(t *testing.T) {
 	dir := t.TempDir()
 	digests := seed(t, dir, 2)
-	// Append a structurally valid record from a "future" schema
-	// generation: correct CRC, unknown entry version.
 	e := entry{V: entryVersion + 7, Digest: Digest("future"), Exp: "e", Key: "k",
 		Data: json.RawMessage(`{"GFlops":1}`)}
 	raw, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	noData := []byte(`{"v":1,"digest":"` + Digest("no-data") + `","exp":"e","key":"k"}`)
 	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(frame(raw)); err != nil {
+	if _, err := f.Write(append(frame(raw), frame(noData)...)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -464,13 +469,16 @@ func TestVersionMismatchedEntrySkipped(t *testing.T) {
 	if ok, _ := s.Get(Digest("future"), &got); ok {
 		t.Fatal("version-mismatched record served")
 	}
+	if ok, err := s.Get(Digest("no-data"), &got); ok || err != nil {
+		t.Fatalf("record with no data member: hit %v, err %v; want a miss", ok, err)
+	}
 	for _, d := range digests {
 		if ok, _ := s.Get(d, &got); !ok {
 			t.Fatalf("current-version record %s lost", d[:8])
 		}
 	}
-	if st := s.Stats(); st.Stale != 1 {
-		t.Fatalf("stale count: %+v", st)
+	if st := s.Stats(); st.Stale != 1 || st.Corrupt != 1 {
+		t.Fatalf("stale and corrupt counts: %+v, want 1 each", st)
 	}
 }
 
@@ -620,13 +628,13 @@ func TestChecksumIsCastagnoli(t *testing.T) {
 // and a second Open, which must find no corrupt, stale or superseded
 // record and no torn tail. Every recovered digest must come back with
 // its payload byte for byte (compaction splices each payload in as it
-// was read, compact or not; a record with no data field comes back as
-// null), and the new cell byte for byte. The
+// was read, compact or not), and the new cell byte for byte. The
 // committed seeds under testdata/fuzz/FuzzOpen cover an empty file,
 // the magic line alone, two valid records, a torn tail, a length field
 // above maxRecordLen, an interior bit flip, a foreign magic line, a
-// stale-version record, and non-compact payloads beside a record with
-// no data field, one superseded so that Close compacts.
+// stale-version record, non-compact payloads beside a record with no
+// data field, one superseded so that Close compacts, and a lone record
+// with no data field, which replay counts as corrupt.
 func FuzzOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, journal []byte) {
 		dir := t.TempDir()
@@ -668,9 +676,6 @@ func FuzzOpen(f *testing.F) {
 			got, ok := s2.GetRaw(digest)
 			if !ok {
 				t.Fatalf("recovered digest %q lost across Close", digest)
-			}
-			if len(data) == 0 {
-				data = []byte("null")
 			}
 			if !bytes.Equal(data, got) {
 				t.Fatalf("digest %q payload changed across Close: %q -> %q", digest, data, got)

@@ -9,7 +9,8 @@
 # frame and journal append), the exact estimator's dense
 # cells (timed over 200 passes, as one pass of eight analytic cells
 # mostly times first-call costs) and curve cells, store
-# warm/cold, and the obs registry/tracer overhead guards) through
+# warm/cold, the serve daemon's hot hit and cold dense query, and the
+# obs registry/tracer overhead guards) through
 # `go test -bench -json`, extracts every "<name> ns/op" result from the
 # test2json stream, and writes the sorted {benchmark: ns_per_op} map to
 # BENCH_sweep.json.
@@ -78,6 +79,7 @@ bench .                 'BenchmarkObsOverhead$' 1x
 bench .                 'BenchmarkTraceOverhead$' 1x
 bench .                 'BenchmarkStoreWarmVsCold$' 1x
 bench ./internal/serve  'BenchmarkServeHotPath$' 1s
+bench ./internal/serve  'BenchmarkServeColdDense$' 10000x
 bench ./internal/lint   'BenchmarkLintRepo$' 3x
 
 # test2json wraps stdout writes in Output actions, and one benchmark

@@ -58,14 +58,16 @@ go test -race -timeout 60m $pkgs
 # frame to header + json.Marshal bytes; FuzzQueryRequest holds the
 # serve catalog's resolve of a /v1/query body to never panicking, to
 # the digest computed with no cached config fingerprint, and to
-# resolving a re-marshalled request identically; FuzzParseAdmit holds
+# resolving a re-marshalled request identically; FuzzQueryResponse
+# holds serve's /v1/query answer writer to the bytes encoding/json
+# writes for the same response; FuzzParseAdmit holds
 # opmserve's -admit grammar to never panicking, to finite positive
 # rates wherever serve.New accepts the classes, and to round-tripping
 # every spec it accepts; FuzzGenerators holds every sparse matrix
 # generator to its COO-built reference (internal/sparse/gen_ref_test.go),
 # bit for bit, or to panicking where the reference does. Plain
 # `go test` above replays only the committed seed corpora.
-for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzFront internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/serve:FuzzQueryRequest cmd/opmserve:FuzzParseAdmit internal/sparse:FuzzGenerators; do
+for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped internal/obs:FuzzReadTrace internal/memsim:FuzzFanout internal/memsim:FuzzFront internal/memsim:FuzzParseMode internal/store:FuzzOpen internal/store:FuzzEntryEncode internal/serve:FuzzQueryRequest internal/serve:FuzzQueryResponse cmd/opmserve:FuzzParseAdmit internal/sparse:FuzzGenerators; do
 	pkg="./${target%%:*}"
 	fn="${target#*:}"
 	echo "== go test -fuzz $fn $pkg (10s)"
