@@ -222,7 +222,15 @@ func run() (code int) {
 		opt.Store = st
 	}
 	if *progress {
+		// Redraw at most ten times a second, and at each sweep's end: a
+		// warm sweep resolves a cached cell every few microseconds.
+		// Progress calls are serialized, so last needs no lock.
+		var last time.Time
 		opt.Progress = func(p sweep.Progress) {
+			if p.Done < p.Total && time.Since(last) < 100*time.Millisecond {
+				return
+			}
+			last = time.Now()
 			fmt.Fprintf(os.Stderr, "\rsweep %d/%d (eta %s)   ", p.Done, p.Total, p.ETA.Round(time.Second))
 			if p.Done == p.Total {
 				fmt.Fprintln(os.Stderr)

@@ -39,6 +39,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -229,16 +230,19 @@ func (t *Tracer) Close() error {
 
 // TraceID derives a stable 16-hex-digit trace ID from its parts,
 // length-prefix hashed like store.Digest so distinct part lists never
-// collide by concatenation.
+// collide by concatenation. Parts up to 256 bytes in all hash from the
+// stack, so the ID string is the one allocation.
 func TraceID(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
+	var stack [256]byte
+	buf := stack[:0]
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(p)))
+		buf = append(buf, p...)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+	sum := sha256.Sum256(buf)
+	var id [16]byte
+	hex.Encode(id[:], sum[:8])
+	return string(id[:])
 }
 
 // ReadTrace decodes a JSONL event stream (the Tracer's format). Blank

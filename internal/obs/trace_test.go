@@ -181,6 +181,33 @@ func TestTraceIDStable(t *testing.T) {
 	}
 }
 
+// TestTraceIDGolden pins TraceID's bytes for a few part lists, an
+// empty list, empty parts and a part past the 256-byte stack buffer
+// included, and holds a typical ID to one allocation.
+func TestTraceIDGolden(t *testing.T) {
+	for _, c := range []struct {
+		parts []string
+		want  string
+	}{
+		{nil, "e3b0c44298fc1c14"},
+		{[]string{""}, "af5570f5a1810b7a"},
+		{[]string{"store", "3f9a1c0e5b7d2468ace013579bdf2468ace013579bdf2468ace013579bdf2468"}, "34dedcfeb7339f04"},
+		{[]string{"sweep", "7", "job", "42"}, "5370607aff294e58"},
+		{[]string{"a", "bc"}, "3fafa1cf2f19a7c1"},
+		{[]string{"ab", "c"}, "601d5476e2ccfe2c"},
+		{[]string{"", "x", ""}, "40bbb6e2db4665d0"},
+		{[]string{strings.Repeat("0123456789", 30), "tail"}, "770bc9028f426842"},
+	} {
+		if got := TraceID(c.parts...); got != c.want {
+			t.Errorf("TraceID(%q) = %s, want %s", c.parts, got, c.want)
+		}
+	}
+	digest := strings.Repeat("ab", 32)
+	if n := testing.AllocsPerRun(100, func() { _ = TraceID("store", digest) }); n != 1 {
+		t.Errorf("TraceID allocates %v times, want 1", n)
+	}
+}
+
 // TestTraceContextPlumbing checks the ambient-context path end to end:
 // an event emitted through TraceEventDur reaches the sink carrying the
 // bound identity.

@@ -31,13 +31,23 @@ import (
 )
 
 // Store is a content-addressed result store backed by one journal
-// file in a directory. All methods are safe for concurrent use; Get
-// and Put on a nil *Store report a miss and drop the commit, so
-// callers without a store never nil-check.
+// file in a directory. All methods are safe for concurrent use. Two
+// locks split the work: the journal lock serializes writes to the
+// journal (Put's append, Compact's rewrite, Close), and the index lock
+// guards the in-memory index and tally, so Get, GetRaw, Len and Stats
+// never wait on a write(2). A method that takes both takes the journal
+// lock first. Get and Put on a nil *Store report a miss and drop the
+// commit, so callers without a store never nil-check.
 type Store struct {
+	// jmu is the journal lock: it guards f, and a Put holds it from its
+	// append through its index update.
+	jmu sync.Mutex
+	f   *os.File // journal, positioned at its end
+	// mu is the index lock: it guards index, order and stats, and
+	// outside Compact and Close it is held only around them, never
+	// across I/O.
 	mu    sync.Mutex
 	dir   string
-	f     *os.File // journal, positioned at its end
 	index map[string]entry
 	order []string // digests in first-commit order (compaction order)
 	stats Stats
@@ -243,13 +253,16 @@ func (s *Store) Put(digest, exp, key string, v any) error {
 	}
 	sp := s.reg.StartSpan("store/put")
 	defer sp.End()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//opmlint:allow lockscope — mu IS the single-writer journal serialization point: the append must happen under it or frames interleave
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	//opmlint:allow lockscope — jmu IS the single-writer journal serialization point: the append must happen under it or frames interleave
 	if _, err := s.f.Write(buf); err != nil {
 		s.mCommitErrs.Inc()
 		return fmt.Errorf("store: journaling %s: %w", digest, err)
 	}
+	// The index changes before jmu is released, so of two Puts to one
+	// digest the index keeps the one the journal holds last.
+	s.mu.Lock()
 	if _, ok := s.index[digest]; ok {
 		s.stats.Superseded++
 		s.mSuperseded.Inc()
@@ -258,6 +271,7 @@ func (s *Store) Put(digest, exp, key string, v any) error {
 	}
 	s.index[digest] = e
 	s.stats.Commits++
+	s.mu.Unlock()
 	s.mCommits.Inc()
 	return nil
 }
@@ -311,12 +325,15 @@ func (s *Store) Compact() error {
 	}
 	sp := s.reg.StartSpan("store/compact")
 	defer sp.End()
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//opmlint:allow lockscope — mu IS the single-writer journal serialization point: compaction rewrites the journal and must exclude appends
+	//opmlint:allow lockscope — jmu IS the single-writer journal serialization point: compaction rewrites the journal and must exclude appends
 	return s.compactLocked()
 }
 
+// compactLocked is Compact's rewrite. Caller holds jmu and mu.
 func (s *Store) compactLocked() error {
 	path := filepath.Join(s.dir, journalName)
 	tmp := path + ".tmp"
@@ -372,11 +389,13 @@ func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var err error
 	if s.garbage() {
-		//opmlint:allow lockscope — mu IS the single-writer journal serialization point: Close's final compact must exclude appends
+		//opmlint:allow lockscope — jmu IS the single-writer journal serialization point: Close's final compact must exclude appends
 		err = s.compactLocked()
 	}
 	if cerr := s.f.Close(); err == nil {

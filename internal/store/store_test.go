@@ -544,6 +544,90 @@ func TestConcurrentPuts(t *testing.T) {
 	}
 }
 
+// TestConcurrentPutsAndReads drives the journal and index locks from
+// several goroutines at once: writers Put distinct digests and digests
+// they share while readers call Get, GetRaw, Len and Stats. Every Put
+// counts as a commit, and after Close and a reopen every digest serves
+// the bytes the index held before the close.
+func TestConcurrentPutsAndReads(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, nil)
+	const writers, each, shared = 4, 40, 5
+	key := func(w, i int) string {
+		if i%2 == 0 {
+			return fmt.Sprintf("shared/%d", i%shared)
+		}
+		return fmt.Sprintf("%d/%d", w, i)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var p payload
+				if _, err := s.Get(Digest(key(r, 2*i)), &p); err != nil {
+					t.Error(err)
+					return
+				}
+				s.GetRaw(Digest(key(i%writers, 2*i+1)))
+				s.Stats()
+				s.Len()
+			}
+		}(r)
+	}
+	var puts sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		puts.Add(1)
+		go func(w int) {
+			defer puts.Done()
+			for i := 0; i < each; i++ {
+				k := key(w, i)
+				if err := s.Put(Digest(k), "e", k, payload{GFlops: float64(w*each + i), Label: k}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	puts.Wait()
+	close(stop)
+	readers.Wait()
+	if got := s.Stats().Commits; got != writers*each {
+		t.Fatalf("Commits = %d after %d Puts", got, writers*each)
+	}
+	held := map[string][]byte{}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < each; i++ {
+			d := Digest(key(w, i))
+			raw, ok := s.GetRaw(d)
+			if !ok {
+				t.Fatalf("%s missing before close", key(w, i))
+			}
+			held[d] = raw
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openT(t, dir, nil)
+	defer s2.Close()
+	if s2.Len() != len(held) {
+		t.Fatalf("reopened store holds %d digests, want %d", s2.Len(), len(held))
+	}
+	for d, want := range held {
+		if got, ok := s2.GetRaw(d); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("digest %s after reopen: %q (hit %v), want %q", d, got, ok, want)
+		}
+	}
+}
+
 func TestNilStoreIsSafe(t *testing.T) {
 	var s *Store
 	if ok, err := s.Get("d", nil); ok || err != nil {

@@ -1,25 +1,17 @@
 package sweep
 
-import (
-	"context"
-	"strconv"
-	"time"
-
-	"repro/internal/obs"
-)
-
 // Cache is the engine's lookup/commit hook for memoized sweeps. A
-// cached job bypasses the worker pool entirely — it never occupies a
-// worker slot or counts as an executed job — and every job that does
-// run is committed the moment it finishes (checkpointing), not in an
-// end-of-run dump, so a cancelled sweep resumes from its last
-// completed job.
+// cached job is resolved by the worker that draws it and runs nothing
+// — it never calls fn or counts as an executed job — and every job
+// that does run is committed the moment it finishes (checkpointing),
+// not in an end-of-run dump, so a cancelled sweep resumes from its
+// last completed job.
 //
-// Implementations must be safe for concurrent use: Commit is called
-// from worker goroutines as jobs complete. Lookup is called serially
-// before the pool starts. A Lookup hit must return a result
-// byte-equivalent to what fn would compute — the warm==cold report
-// equivalence contract rests on it.
+// Implementations must be safe for concurrent use: Lookup and Commit
+// are both called from worker goroutines, several at once, Lookup as a
+// worker draws a job and Commit as a computed job completes. A Lookup
+// hit must return a result byte-equivalent to what fn would compute —
+// the warm==cold report equivalence contract rests on it.
 type Cache[J, R any] interface {
 	// Lookup returns the memoized result for a job and whether it hit.
 	Lookup(job J) (R, bool)
@@ -39,139 +31,4 @@ type Cache[J, R any] interface {
 // fall back to per-run sweep-sequence IDs.
 type TraceKeyer[J any] interface {
 	TraceInfo(job J) (id, key string)
-}
-
-// MapCached is Map with memoization: jobs that hit the cache are
-// resolved up front and only the misses are dispatched to the worker
-// pool; each miss is committed to the cache as it completes. Results
-// come back in submission order exactly as Map returns them, and any
-// JobError indices refer to the original jobs slice. A nil cache makes
-// MapCached identical to Map.
-//
-// Progress reports (and the ETA) cover the executed jobs but Done and
-// Total include the cache hits, so a resumed 968-job sweep with 900
-// hits reports 901/968, 902/968, ... rather than restarting at 1/68.
-//
-// With e.Trace set, every job's chain opens with an enqueue here (in
-// submission order) followed by its lookup verdict: hits emit
-// store/hit and close immediately with a cache_hit done event (worker
-// -1 — no worker ever touched them); misses emit store/miss, flow
-// through Map under their digest-derived IDs, and emit store/commit as
-// they checkpoint.
-//
-//opmlint:allow determinism — lookup/commit wall-clock feeds only trace events; results depend solely on the cache contents and fn, which the warm==cold equivalence tests pin byte-for-byte
-func MapCached[J, R any](ctx context.Context, e *Engine, jobs []J, cache Cache[J, R], fn func(ctx context.Context, w *Worker, job J) (R, error)) ([]R, error) {
-	if cache == nil {
-		return Map(ctx, e, jobs, fn)
-	}
-	var tr *obs.Tracer
-	if e != nil {
-		tr = e.Trace
-	}
-	// Resolve every job's trace identity before any lookup: from the
-	// cache's content digests when it offers them, else from the same
-	// per-tracer sweep sequence Map would use.
-	var traceIDs, traceKeys []string
-	if tr != nil {
-		traceIDs = make([]string, len(jobs))
-		traceKeys = make([]string, len(jobs))
-		if tk, ok := cache.(TraceKeyer[J]); ok {
-			for i, job := range jobs {
-				traceIDs[i], traceKeys[i] = tk.TraceInfo(job)
-			}
-		} else {
-			sweepN := strconv.FormatUint(tr.NextSweep(), 10)
-			for i := range jobs {
-				idx := strconv.Itoa(i)
-				traceIDs[i] = obs.TraceID("sweep", sweepN, "job", idx)
-				traceKeys[i] = idx
-			}
-		}
-	}
-	results := make([]R, len(jobs))
-	missIdx := make([]int, 0, len(jobs))
-	for i, job := range jobs {
-		var t0 time.Time
-		if tr != nil {
-			tr.Emit(traceIDs[i], obs.EvEnqueue, traceKeys[i], -1, 0, "")
-			t0 = time.Now()
-		}
-		if r, ok := cache.Lookup(job); ok {
-			results[i] = r
-			if tr != nil {
-				d := time.Since(t0)
-				tr.Emit(traceIDs[i], obs.EvStoreHit, traceKeys[i], -1, d, "")
-				tr.Emit(traceIDs[i], obs.EvDone, traceKeys[i], -1, d, "cache_hit")
-			}
-		} else {
-			if tr != nil {
-				tr.Emit(traceIDs[i], obs.EvStoreMiss, traceKeys[i], -1, time.Since(t0), "")
-			}
-			missIdx = append(missIdx, i)
-		}
-	}
-	hits := len(jobs) - len(missIdx)
-	if len(missIdx) == 0 {
-		if e != nil && e.Progress != nil && hits > 0 {
-			e.Progress(Progress{Done: hits, Total: hits})
-		}
-		return results, nil
-	}
-	miss := make([]J, len(missIdx))
-	for k, i := range missIdx {
-		miss[k] = jobs[i]
-	}
-	sub := Engine{}
-	if e != nil {
-		sub = *e
-	}
-	if tr != nil {
-		// The misses keep their already-announced identities; Map must
-		// not re-enqueue them under fresh sweep-sequence IDs.
-		sub.traceMeta = func(k int) (string, string) {
-			return traceIDs[missIdx[k]], traceKeys[missIdx[k]]
-		}
-	}
-	if prog := sub.Progress; prog != nil && hits > 0 {
-		sub.Progress = func(p Progress) {
-			p.Done += hits
-			p.Total += hits
-			prog(p)
-		}
-	}
-	missRes, err := Map(ctx, &sub, miss, func(ctx context.Context, w *Worker, job J) (R, error) {
-		r, ferr := fn(ctx, w, job)
-		if ferr == nil {
-			if tr != nil {
-				c0 := time.Now()
-				cache.Commit(job, r)
-				obs.TraceEventDur(ctx, obs.EvStoreCommit, time.Since(c0), "")
-			} else {
-				cache.Commit(job, r)
-			}
-		}
-		return r, ferr
-	})
-	for k, i := range missIdx {
-		results[i] = missRes[k]
-	}
-	return results, remapErrors(err, missIdx)
-}
-
-// remapErrors rewrites JobError indices from the miss slice back to
-// the caller's original submission indices. Map returns its Errors
-// sorted by index and missIdx is ascending, so order is preserved.
-func remapErrors(err error, missIdx []int) error {
-	if err == nil {
-		return nil
-	}
-	errs, ok := err.(Errors)
-	if !ok {
-		return err
-	}
-	out := make(Errors, len(errs))
-	for k, je := range errs {
-		out[k] = &JobError{Index: missIdx[je.Index], Err: je.Err}
-	}
-	return out
 }

@@ -40,32 +40,26 @@ type Engine struct {
 	// names). A nil registry costs one branch per job.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives the causal per-job event chain:
-	// enqueue/dispatch/done on every job, plus estimator/gate/store
-	// events from the layers below (via the job context). Nil — the
-	// default — costs one branch per job. Like Obs, the tracer observes
-	// the sweep without touching its results: traced and untraced runs
-	// are byte-identical.
+	// enqueue/done on every job and dispatch on every job a worker
+	// runs, plus estimator/gate/store events from the layers below (via
+	// the job context). Nil — the default — costs one branch per job.
+	// Like Obs, the tracer observes the sweep without touching its
+	// results: traced and untraced runs are byte-identical.
 	Trace *obs.Tracer
-
-	// traceMeta, when set (by MapCached), supplies each job's stable
-	// trace ID and human key by submission index, and transfers
-	// ownership of the enqueue events to the caller. When nil, Map
-	// derives IDs from a per-tracer sweep sequence number and emits the
-	// enqueue chain itself.
-	traceMeta func(i int) (id, key string)
 }
 
 // Progress is one advancement report of a running sweep.
 type Progress struct {
 	Done, Total int
 	Elapsed     time.Duration
-	// ETA estimates the remaining wall time from the completed
-	// fraction, smoothed by an exponential moving average of the
-	// per-job rate so one slow cell does not whip the estimate
-	// around. It is zero (meaning "unknown") until at least two jobs
-	// have completed — extrapolating a 968-matrix sweep from its
-	// first finished cell produces garbage — and zero again once the
-	// sweep is done. It is never negative.
+	// ETA estimates the remaining wall time from the jobs that ran,
+	// smoothed by an exponential moving average of the per-job rate so
+	// one slow cell does not whip the estimate around (cache hits cost
+	// next to nothing and only scale it; see MapCached). It is zero
+	// (meaning "unknown") until at least two jobs have run — a
+	// 968-matrix sweep extrapolated from its first computed cell is
+	// garbage — and zero again once the sweep is done. It is never
+	// negative.
 	ETA time.Duration
 }
 
@@ -204,9 +198,39 @@ func (w *Worker) Drop(key any) {
 //	sweep/queue_wait          submission-to-start delay (histogram)
 //	sweep/worker_utilization  busy time / (workers × wall) (gauge)
 //	sweep/eta_seconds         smoothed remaining-time estimate (gauge)
-//
-//opmlint:allow determinism — the wall clock feeds only telemetry (latency/wait histograms, utilization, ETA) and progress callbacks; results[i] depends solely on jobs[i], which the parallel==sequential equivalence tests pin byte-for-byte
 func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context.Context, w *Worker, job J) (R, error)) ([]R, error) {
+	return MapCached(ctx, e, jobs, nil, fn)
+}
+
+// MapCached is Map with memoization. The worker that draws a job looks
+// it up in the cache before anything else: a hit is the job's result,
+// with no call of fn or Commit, and counts on none of the per-job
+// instruments (sweep/jobs, sweep/job_latency, sweep/queue_wait, the
+// busy time behind sweep/worker_utilization); a miss runs fn through
+// Run and is committed to the cache the moment it succeeds. So the
+// lookups of later jobs overlap the computes and commits of earlier
+// ones. Results come back in submission order exactly as Map returns
+// them, and JobError indices refer to jobs. A nil cache makes MapCached
+// identical to Map.
+//
+// The cancellation check comes before the lookup: once ctx is done,
+// every unstarted job records the context error, hits included.
+// Progress counts every job, hit or miss, when its worker finishes it,
+// against Total = len(jobs), so a resumed 968-job sweep reports
+// 1/968 ... 968/968. The ETA extrapolates from the jobs that ran fn,
+// scaled by the recent share of misses, so the instant hits of a
+// resumed sweep's committed jobs do not shrink it.
+//
+// With e.Trace set, every job's chain opens with an enqueue, emitted in
+// submission order before the pool starts, under the cache's
+// content-derived ID when it is a TraceKeyer and a per-tracer
+// sweep-sequence ID otherwise. A hit emits store/hit and closes with a
+// cache_hit done event, both at worker -1, as no worker computed it; a
+// miss emits store/miss at worker -1, then flows through the worker as
+// every Map job does, with a store/commit as it checkpoints.
+//
+//opmlint:allow determinism — the wall clock feeds only telemetry (latency/wait histograms, utilization, ETA, trace durations) and progress callbacks; results[i] depends solely on jobs[i] and the cache contents, which the parallel==sequential and warm==cold equivalence tests pin byte-for-byte
+func MapCached[J, R any](ctx context.Context, e *Engine, jobs []J, cache Cache[J, R], fn func(ctx context.Context, w *Worker, job J) (R, error)) ([]R, error) {
 	if e == nil {
 		e = &Engine{}
 	}
@@ -217,6 +241,7 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 	var (
 		next   atomic.Int64
 		done   atomic.Int64
+		ran    atomic.Int64 // finished jobs that ran fn: done less the hits
 		busyNS atomic.Int64
 		mu     sync.Mutex
 		errs   Errors
@@ -235,53 +260,104 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 		mETA  = e.Obs.Gauge("sweep/eta_seconds")
 	)
 	total := len(jobs)
-	// Trace identity resolves once per sweep: either the caller
-	// (MapCached) supplied digest-derived IDs via traceMeta, or Map
-	// derives stable fallback IDs from a per-tracer sweep sequence
-	// number and the submission index — and then also owns the enqueue
-	// events, emitted here in submission order before the pool starts.
+	// Trace identity resolves once per sweep, and every enqueue is
+	// emitted in submission order before the pool starts: IDs come from
+	// the cache's content digests when it offers them, else from a
+	// per-tracer sweep sequence number and the submission index.
 	tr := e.Trace
 	var traceIDs, traceKeys []string
 	if tr != nil {
-		meta := e.traceMeta
-		ownEnqueue := meta == nil
-		if meta == nil {
-			sweepN := strconv.FormatUint(tr.NextSweep(), 10)
-			meta = func(i int) (string, string) {
-				idx := strconv.Itoa(i)
-				return obs.TraceID("sweep", sweepN, "job", idx), idx
-			}
-		}
 		traceIDs = make([]string, total)
 		traceKeys = make([]string, total)
-		for i := 0; i < total; i++ {
-			traceIDs[i], traceKeys[i] = meta(i)
-			if ownEnqueue {
-				tr.Emit(traceIDs[i], obs.EvEnqueue, traceKeys[i], -1, 0, "")
+		tk, keyed := cache.(TraceKeyer[J])
+		var sweepN string
+		if !keyed {
+			sweepN = strconv.FormatUint(tr.NextSweep(), 10)
+		}
+		for i, job := range jobs {
+			if keyed {
+				traceIDs[i], traceKeys[i] = tk.TraceInfo(job)
+			} else {
+				traceKeys[i] = strconv.Itoa(i)
+				traceIDs[i] = obs.TraceID("sweep", sweepN, "job", traceKeys[i])
 			}
+			tr.Emit(traceIDs[i], obs.EvEnqueue, traceKeys[i], -1, 0, "")
 		}
 	}
-	// etaRate is the EWMA-smoothed overall ns-per-job estimate,
-	// guarded by mu (report is serialized).
+	// lookup, set only with a cache, resolves job i on the worker that
+	// drew it and reports whether it hit; a hit's result lands in
+	// results[i]. The cache's Commit joins fn, inside Run, so a
+	// checkpoint is part of the job it saves.
+	var lookup func(i int) bool
+	if cache != nil {
+		lookup = func(i int) bool {
+			var t0 time.Time
+			if tr != nil {
+				t0 = time.Now()
+			}
+			r, hit := cache.Lookup(jobs[i])
+			if hit {
+				results[i] = r
+			}
+			if tr != nil {
+				d := time.Since(t0)
+				if hit {
+					tr.Emit(traceIDs[i], obs.EvStoreHit, traceKeys[i], -1, d, "")
+					tr.Emit(traceIDs[i], obs.EvDone, traceKeys[i], -1, d, "cache_hit")
+				} else {
+					tr.Emit(traceIDs[i], obs.EvStoreMiss, traceKeys[i], -1, d, "")
+				}
+			}
+			return hit
+		}
+		compute := fn
+		fn = func(ctx context.Context, w *Worker, job J) (R, error) {
+			r, err := compute(ctx, w, job)
+			if err != nil {
+				return r, err
+			}
+			if tr == nil {
+				cache.Commit(job, r)
+				return r, nil
+			}
+			c0 := time.Now()
+			cache.Commit(job, r)
+			obs.TraceEventDur(ctx, obs.EvStoreCommit, time.Since(c0), "")
+			return r, nil
+		}
+	}
+	// The ETA extrapolates from the jobs that ran fn, as a hit costs
+	// next to nothing: etaRate is the EWMA-smoothed ns per ran job, and
+	// etaShare the EWMA-smoothed share of ran jobs among the last
+	// finished ones, which scales the jobs left. A resumed sweep's
+	// committed jobs come first and hit, so its share climbs back to 1
+	// within a few misses and its ETA covers the misses still to run.
+	// Both are guarded by mu (report is serialized).
 	var etaRate float64
-	report := func() {
+	etaShare := 1.0
+	report := func(miss bool) {
 		if e.Progress == nil && !obsOn {
 			return
 		}
-		// Read the count under the lock: the last report to take it
+		// Read the counts under the lock: the last report to take it
 		// then sees every completion, so the final Progress is Total.
 		mu.Lock()
-		d := int(done.Load())
+		d, r := int(done.Load()), ran.Load()
 		elapsed := time.Since(start)
+		x := 0.0
+		if miss {
+			x = 1
+		}
+		etaShare += etaAlpha * (x - etaShare)
 		var eta time.Duration
-		if d >= minETAJobs && d < total {
-			rate := float64(elapsed) / float64(d)
+		if r >= minETAJobs && d < total {
+			rate := float64(elapsed) / float64(r)
 			if etaRate == 0 {
 				etaRate = rate
 			} else {
 				etaRate += etaAlpha * (rate - etaRate)
 			}
-			if eta = time.Duration(etaRate * float64(total-d)); eta < 0 {
+			if eta = time.Duration(etaRate * etaShare * float64(total-d)); eta < 0 {
 				eta = 0
 			}
 		}
@@ -317,6 +393,11 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 					fail(i, err)
 					continue
 				}
+				if lookup != nil && lookup(i) {
+					done.Add(1)
+					report(false)
+					continue
+				}
 				timed := obsOn || tr != nil
 				var t0 time.Time
 				if timed {
@@ -348,8 +429,9 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 						tr.Emit(traceIDs[i], obs.EvDone, traceKeys[i], wi, d, "")
 					}
 				}
+				ran.Add(1)
 				done.Add(1)
-				report()
+				report(true)
 			}
 		}(wi)
 	}

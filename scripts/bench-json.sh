@@ -1,16 +1,17 @@
 #!/bin/sh
 # bench-json.sh — emit the repo's perf trajectory as JSON.
 #
-# Runs the fixed benchmark roster (sweep-engine overheads, the cache
-# models' lookups and reset, the memory simulator's streaming hot loop
-# and its scalar gather path, one KNL curve cell across its four modes,
-# one Broadwell sparse cell (matrix build plus scalar gathers on ddr and
-# edram), one dense cell's store digest and its store Put (marshal,
-# frame and journal append), the exact estimator's dense
-# cells (timed over 200 passes, as one pass of eight analytic cells
-# mostly times first-call costs) and curve cells, store
-# warm/cold, the serve daemon's hot hit and cold dense query, and the
-# obs registry/tracer overhead guards) through
+# Runs the fixed benchmark roster (sweep-engine overheads: Map over
+# no-op jobs, and MapCached over half-warm no-op jobs whose lookups run
+# on the workers; the cache models' lookups and reset, the memory
+# simulator's streaming hot loop and its scalar gather path, one KNL
+# curve cell across its four modes, one Broadwell sparse cell (matrix
+# build plus scalar gathers on ddr and edram), one dense cell's store
+# digest and its store Put (marshal, frame and journal append), the
+# exact estimator's dense cells (timed over 200 passes, as one pass of
+# eight analytic cells mostly times first-call costs) and curve cells,
+# store warm/cold, the serve daemon's hot hit and cold dense query, and
+# the obs registry/tracer overhead guards) through
 # `go test -bench -json`, extracts every "<name> ns/op" result from the
 # test2json stream, and writes the sorted {benchmark: ns_per_op} map to
 # BENCH_sweep.json.
@@ -66,7 +67,7 @@ bench() { # package regex benchtime
 	go test -run '^$' -bench "$2" -benchtime "$3" -count 1 -json "$1" >>"$raw"
 }
 
-bench ./internal/sweep  'BenchmarkMap$' 100x
+bench ./internal/sweep  'BenchmarkMap(Cached)?$' 100x
 bench ./internal/cache  'Benchmark(SetAssocAccess|DirectMappedAccess|DirectMappedReset)$' 1s
 bench ./internal/memsim 'Benchmark(SimStreamingAccess|SimScalarGather)$' 1s
 bench ./internal/harness 'BenchmarkCurveCellKNL$' 20x

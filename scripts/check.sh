@@ -74,10 +74,13 @@ for target in internal/cache:FuzzSetAssoc internal/cache:FuzzDirectMapped intern
 	go test -run '^$' -fuzz "^$fn\$" -fuzztime 10s "$pkg"
 done
 
-# The store's crash-safety claims rest on its locking discipline; run
-# its suite twice under the race detector to shake out ordering flakes.
-echo "== go test -race -count=2 ./internal/store"
-go test -race -count=2 ./internal/store
+# The store's crash-safety claims rest on its locking discipline (the
+# journal lock serializes appends and rewrites, the index lock guards
+# the map that reads take), and a cached sweep's lookups run on its
+# workers, several at once; run both suites ten times under the race
+# detector to shake out ordering flakes.
+echo "== go test -race -count=10 ./internal/store ./internal/sweep"
+go test -race -count=10 ./internal/store ./internal/sweep
 
 # Perf-regression gate: re-measure the fixed benchmark roster and
 # compare against scripts/bench-baseline.json. The 2x factor
