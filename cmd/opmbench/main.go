@@ -11,7 +11,7 @@
 //
 // The observability flags never change report bytes: stdout (and -out
 // CSVs) stay byte-identical whether telemetry is on or off. Metrics,
-// logs and profiles go to their own files or stderr.
+// traces and profiles go to their own files or stderr.
 //
 // Usage:
 //
@@ -28,7 +28,6 @@
 //	opmbench -exp all -strict           # dropped jobs fail the run
 //	opmbench -exp fig9 -metrics out.json       # manifest + registry dump
 //	opmbench -exp fig9 -trace run.jsonl        # per-job event chains (see opmprof)
-//	opmbench -exp fig9 -log-level debug        # structured logs on stderr
 //	opmbench -exp all -pprof localhost:6060    # live pprof/expvar/metrics
 //	opmbench -exp fig7 -cpuprofile cpu.out     # CPU profile of the run
 package main
@@ -38,7 +37,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -74,9 +72,7 @@ func run() (code int) {
 
 		metrics    = flag.String("metrics", "", "write manifest + metrics registry as JSON to this file at exit")
 		traceFile  = flag.String("trace", "", "append every sweep job's causal event chain to this JSONL file (analyze with opmprof, export to Perfetto)")
-		logLevel   = flag.String("log-level", "", "structured logging on stderr at this level (debug|info|warn|error; off when empty)")
-		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text (needs -log-level)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, Go runtime vars (/debug/vars) and the live registry (/metrics, /metrics/prom) on this address (e.g. localhost:6060)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, Go runtime vars (/debug/vars) and the live registry (/metrics) on this address (e.g. localhost:6060)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	)
 	flag.Parse()
@@ -118,21 +114,12 @@ func run() (code int) {
 		ids = strings.Split(*exp, ",")
 	}
 
-	// Observability setup: registry (for -metrics/-pprof), structured
-	// logger, run manifest, CPU profile. All of it is off by default
-	// and none of it touches stdout.
+	// Observability setup: registry (for -metrics/-pprof), run
+	// manifest, CPU profile. All of it is off by default and none of it
+	// touches stdout.
 	var reg *obs.Registry
 	if *metrics != "" || *pprofAddr != "" {
 		reg = obs.NewRegistry()
-	}
-	var logger *slog.Logger
-	if *logLevel != "" {
-		lvl, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "opmbench:", err)
-			return 2
-		}
-		logger = obs.NewLogger(os.Stderr, lvl, *logJSON)
 	}
 	manifest := obs.NewManifest("opmbench")
 	manifest.Workers = *workers
@@ -203,7 +190,7 @@ func run() (code int) {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opt := harness.Options{Full: *full, OutDir: *out, Workers: *workers, Obs: reg, Log: logger, Force: *force, Trace: tracer}
+	opt := harness.Options{Full: *full, OutDir: *out, Workers: *workers, Obs: reg, Force: *force, Trace: tracer}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, reg)
 		if err != nil {

@@ -62,6 +62,21 @@ func succeed(t *testing.T, cmd *exec.Cmd) string {
 	return stdout
 }
 
+// TestRemovedLogFlagsExitTwo: the slog run logs are gone, and with
+// them opmbench's two log flags; each is refused as an unknown flag
+// before any experiment runs.
+func TestRemovedLogFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "fig6", "-log-level", "debug"},
+		{"-exp", "fig6", "-log-json"},
+	} {
+		code, stdout, stderr := finish(t, opmbench(args...))
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined") {
+			t.Fatalf("%v: exit %d, stdout %q, stderr:\n%s\nwant exit 2 on an unknown flag", args, code, stdout, stderr)
+		}
+	}
+}
+
 // TestStoreCloseFailureExitsOne: a -store whose close fails must fail
 // the run, or a script that chains -store and -resume never learns of
 // it. The report on stdout stays what a run without a store prints.

@@ -1,8 +1,8 @@
-// Command opmserve is the long-running sweep/query daemon: the HTTP
-// serving layer (internal/serve) over the content-addressed result
-// store and the sweep engine. Most traffic is sub-millisecond hot-set
-// or journal hits; misses are admitted through per-class token buckets
-// and computed once each on a pool of persistent sweep workers: a cold
+// Command opmserve is the long-running query daemon: the HTTP serving
+// layer (internal/serve) over the content-addressed result store and
+// the sweep engine. Most traffic is sub-millisecond hot-set or journal
+// hits; misses are admitted through per-class token buckets and
+// computed once each on a pool of persistent sweep workers: a cold
 // cell that fails, panics or fails the validation gate answers an error
 // and is not cached. SIGINT/SIGTERM drains gracefully: accepted
 // requests finish, then the store closes.
@@ -111,8 +111,8 @@ func run() int {
 	}
 
 	// Graceful drain: stop accepting, finish every accepted request
-	// (including queued admissions and async sweep jobs), then close the
-	// store so the journal ends on a clean compaction.
+	// (including queued admissions), then close the store so the journal
+	// ends on a clean compaction.
 	fmt.Fprintln(os.Stderr, "opmserve: draining...")
 	dctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()

@@ -75,8 +75,6 @@ func runCurves(ctx context.Context, platName, kernel string, opt Options) ([]Cur
 	}
 	machines := spec.Machines
 	fps := spec.Footprints(opt)
-	opt.logger().Debug("curve sweep starting", "platform", platName, "kernel", kernel,
-		"points", len(fps), "modes", len(machines))
 	// One footprint point runs every mode, so the machine-set hash
 	// (plus the scale the workload builder consumes) is the config
 	// component and the footprint is the job key.

@@ -85,8 +85,6 @@ func denseHeatmapRunner(platName, kernel string) func(context.Context, Options) 
 				}
 			}
 		}
-		opt.logger().Debug("dense sweep starting", "platform", platName, "kernel", kernel,
-			"cells", len(jobs))
 		sp := opt.Obs.StartSpan("dense/" + platName + "/" + kernel + "/sweep") //opmlint:allow counternames — platform and kernel come from the closed registry roster; the dense/<plat>/<kernel> namespace is enumerable
 		results, err := runDense(ctx, opt, jobs)
 		sp.End()

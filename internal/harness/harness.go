@@ -8,12 +8,10 @@ package harness
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/memsim"
@@ -52,9 +50,6 @@ type Options struct {
 	// Telemetry never alters report bytes — a run with Obs set renders
 	// byte-identical Text/CSV/Findings to one without.
 	Obs *obs.Registry
-	// Log, when non-nil, receives structured run logs (experiment
-	// start/finish, sweep sizes, dropped cells). Nil disables logging.
-	Log *slog.Logger
 	// Store, when non-nil, memoizes per-job sweep results: cached
 	// jobs bypass the worker pool (warm runs execute zero simulator
 	// jobs) and completed jobs are journaled as they finish, so an
@@ -81,26 +76,14 @@ func (o Options) engine() *sweep.Engine {
 	return &sweep.Engine{Workers: o.Workers, Progress: o.Progress, Obs: o.Obs, Trace: o.Trace}
 }
 
-// logger returns the options' logger, or a drop-everything logger so
-// call sites never nil-check.
-func (o Options) logger() *slog.Logger {
-	if o.Log == nil {
-		return obs.NopLogger()
-	}
-	return o.Log
-}
-
 // Report is the outcome of one experiment. Text, CSV and Findings are
-// the deterministic report bytes the equivalence tests compare;
-// Manifest is run provenance riding beside them, never rendered into
-// them.
+// the deterministic report bytes the equivalence tests compare.
 type Report struct {
 	ID       string
 	Title    string
 	Text     string              // rendered figure/table
 	CSV      map[string][]string // file name -> lines (header first)
 	Findings []string            // headline paper-vs-measured notes
-	Manifest *obs.Manifest       // run provenance (attached by instrument)
 	// Dropped counts survivable per-job sweep failures behind the
 	// report's WARNING findings — what opmbench -strict turns into a
 	// non-zero exit while still writing the partial report.
@@ -157,45 +140,23 @@ func instrumentAll(exps []Experiment) []Experiment {
 	return exps
 }
 
-// instrument wraps an experiment runner with the observability layer:
-// an "exp/<id>" span, structured start/finish logs, and the run
-// manifest attached to the finished report. It touches nothing the
-// deterministic report bytes (Text/CSV/Findings) are built from, so
-// enabling telemetry can never change a rendered figure.
-//
-//opmlint:allow determinism — wall time here is reported (logs, span, manifest timestamps), never fed back into simulated results; the equivalence suites compare report bytes that exclude it
+// instrument wraps an experiment runner in its "exp/<id>" span. The
+// span touches nothing the deterministic report bytes (Text/CSV/
+// Findings) are built from, so enabling telemetry can never change a
+// rendered figure.
 func instrument(id string, run func(context.Context, Options) (*Report, error)) func(context.Context, Options) (*Report, error) {
 	return func(ctx context.Context, opt Options) (*Report, error) {
-		log := opt.logger()
-		log.Debug("experiment starting", "id", id, "workers", opt.Workers, "full", opt.Full)
-		start := time.Now()
 		sp := opt.Obs.StartSpan("exp/" + id) //opmlint:allow counternames — id comes from the closed experiment registry (Registry/extensionExperiments); the exp/<id> namespace is enumerable via -list
 		rep, err := run(ctx, opt)
 		sp.End()
-		elapsed := time.Since(start)
 		if err != nil {
-			log.Error("experiment failed", "id", id, "elapsed", elapsed, "err", err)
 			return nil, err
 		}
 		if rep.ID == "" {
 			rep.ID = id
 		}
-		rep.Manifest = manifestFor(opt, start)
-		log.Info("experiment finished", "id", id, "elapsed", elapsed,
-			"findings", len(rep.Findings), "csvs", len(rep.CSV))
 		return rep, nil
 	}
-}
-
-// manifestFor builds the provenance record attached to one report.
-func manifestFor(opt Options, start time.Time) *obs.Manifest {
-	m := obs.NewManifest("opmbench-harness")
-	m.Start = start
-	m.Workers = opt.Workers
-	m.Machines = PlatformMatrix()
-	m.ConfigHash = obs.Hash(opt.Full, opt.Stride, opt.CurvePoints, opt.MaxPaperFootprint, opt.Workers)
-	m.Finish()
-	return m
 }
 
 // PlatformMatrix lists every platform/mode pair the harness can run —

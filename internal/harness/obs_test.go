@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
-	"log/slog"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,10 +71,9 @@ func TestSparseWarningsSurfaceEachDroppedMatrix(t *testing.T) {
 	}
 }
 
-// TestObsDoesNotChangeReportBytes is the PR's core invariant: running
-// with a live registry, debug logging, and a manifest must leave the
-// report's Text, CSV, and Findings byte-identical to a bare run — and
-// must actually populate the registry.
+// TestObsDoesNotChangeReportBytes: running with a live registry must
+// leave the report's Text, CSV, and Findings byte-identical to a bare
+// run — and must actually populate the registry.
 func TestObsDoesNotChangeReportBytes(t *testing.T) {
 	e, _ := Get("fig9")
 
@@ -87,7 +84,6 @@ func TestObsDoesNotChangeReportBytes(t *testing.T) {
 
 	opt := tiny
 	opt.Obs = obs.NewRegistry()
-	opt.Log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	instr, err := e.Run(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -101,15 +97,6 @@ func TestObsDoesNotChangeReportBytes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bare.CSV, instr.CSV) {
 		t.Error("CSV series differ with observability enabled")
-	}
-
-	// The bare run carries no manifest (no registry or logger), the
-	// instrumented one must.
-	if instr.Manifest == nil {
-		t.Fatal("instrumented report missing manifest")
-	}
-	if instr.Manifest.Tool == "" || len(instr.Manifest.Machines) == 0 || instr.Manifest.ConfigHash == "" {
-		t.Fatalf("manifest incomplete: %+v", instr.Manifest)
 	}
 
 	snap := opt.Obs.Snapshot()

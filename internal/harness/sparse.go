@@ -78,8 +78,6 @@ func runSparse(ctx context.Context, platName, kernel string, opt Options) ([]spa
 	}
 	machines := append([]*core.Machine{base}, opms...)
 	specs := suite(plat, opt)
-	opt.logger().Debug("sparse sweep starting", "platform", platName, "kernel", kernel,
-		"matrices", len(specs), "modes", len(machines))
 	// Jobs are keyed by matrix name under the machine-set hash (the
 	// spec plus plat.Scale fully determine the instantiated matrix),
 	// so table4/5 reuse the figures' entries and quick/full runs
@@ -102,10 +100,6 @@ func runSparse(ctx context.Context, platName, kernel string, opt Options) ([]spa
 	points, errs, err := sweep.Compact(results, runErr)
 	if err != nil {
 		return nil, nil, errs, err
-	}
-	if len(errs) > 0 {
-		opt.logger().Warn("sparse sweep dropped matrices", "platform", platName,
-			"kernel", kernel, "dropped", len(errs), "kept", len(points))
 	}
 	return points, machines, errs, nil
 }

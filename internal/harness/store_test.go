@@ -509,7 +509,10 @@ func TestResumeEquivalence(t *testing.T) {
 }
 
 // TestDroppedCountsFailedJobs: the report's Dropped field (which
-// -strict keys off) counts exactly the jobs that fell out of the sweep.
+// -strict keys off) counts exactly the jobs that fell out of the sweep,
+// each behind one WARNING finding. fig9 sweeps SpMV once; table4 sweeps
+// each of SpMV, SpTRANS and SpTRSV over the same suite, so it drops the
+// doomed matrix three times.
 func TestDroppedCountsFailedJobs(t *testing.T) {
 	specs := suite(platform.Broadwell(), tiny)
 	doomed := specs[1].Name
@@ -521,13 +524,24 @@ func TestDroppedCountsFailedJobs(t *testing.T) {
 	}
 	defer func() { sparseJobHook = nil }()
 
-	e, _ := Get("fig9")
-	rep, err := e.Run(context.Background(), tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Dropped != 1 {
-		t.Fatalf("rep.Dropped = %d, want 1", rep.Dropped)
+	for id, want := range map[string]int{"fig9": 1, "table4": 3} {
+		e, _ := Get(id)
+		rep, err := e.Run(context.Background(), tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Dropped != want {
+			t.Fatalf("%s: rep.Dropped = %d, want %d", id, rep.Dropped, want)
+		}
+		warnings := 0
+		for _, f := range rep.Findings {
+			if strings.HasPrefix(f, "WARNING: dropped ") {
+				warnings++
+			}
+		}
+		if warnings != want {
+			t.Fatalf("%s: %d WARNING: dropped findings, want %d", id, warnings, want)
+		}
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 var kernelOrder = []string{"GEMM", "Cholesky", "SpMV", "SpTRANS", "SpTRSV", "Stream", "Stencil", "FFT"}
 
 // kernelSeries returns paired per-input throughput series for one
-// kernel across all modes of a platform. Inputs are the kernel's own
-// sweep: (order, block) cells for dense kernels, the matrix suite for
-// sparse ones, footprint points for Stream/Stencil/FFT.
-func kernelSeries(ctx context.Context, platName, kernel string, opt Options) (map[memsim.Mode][]float64, []*core.Machine, error) {
+// kernel across all modes of a platform, and the sweep's dropped jobs.
+// Inputs are the kernel's own sweep: (order, block) cells for dense
+// kernels, the matrix suite for sparse ones (the only sweep that drops
+// a failed input instead of failing), footprint points for
+// Stream/Stencil/FFT.
+func kernelSeries(ctx context.Context, platName, kernel string, opt Options) (map[memsim.Mode][]float64, sweep.Errors, error) {
 	switch kernel {
 	case "GEMM", "Cholesky":
 		kind, err := denseKind(kernel)
@@ -47,9 +49,9 @@ func kernelSeries(ctx context.Context, platName, kernel string, opt Options) (ma
 		for i, j := range jobs {
 			out[j.Machine.Mode] = append(out[j.Machine.Mode], results[i].GFlops)
 		}
-		return out, machines, nil
+		return out, nil, nil
 	case "SpMV", "SpTRANS", "SpTRSV":
-		pts, machines, _, err := runSparse(ctx, platName, kernel, opt)
+		pts, _, errs, err := runSparse(ctx, platName, kernel, opt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -59,9 +61,9 @@ func kernelSeries(ctx context.Context, platName, kernel string, opt Options) (ma
 				out[mode] = append(out[mode], v)
 			}
 		}
-		return out, machines, nil
+		return out, errs, nil
 	case "Stream", "Stencil", "FFT":
-		pts, machines, err := runCurves(ctx, platName, kernel, opt)
+		pts, _, err := runCurves(ctx, platName, kernel, opt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -71,7 +73,7 @@ func kernelSeries(ctx context.Context, platName, kernel string, opt Options) (ma
 				out[mode] = append(out[mode], v)
 			}
 		}
-		return out, machines, nil
+		return out, nil, nil
 	}
 	return nil, nil, fmt.Errorf("harness: unknown kernel %q", kernel)
 }
@@ -87,10 +89,11 @@ func runTable4(ctx context.Context, opt Options) (*Report, error) {
 	csv := []string{csvLine("kernel", "best_wo", "best_w", "avg_gap", "max_gap", "avg_speedup", "max_speedup")}
 	var avgSpeedups []string
 	for _, kernel := range kernelOrder {
-		series, _, err := kernelSeries(ctx, "broadwell", kernel, opt)
+		series, errs, err := kernelSeries(ctx, "broadwell", kernel, opt)
 		if err != nil {
 			return nil, err
 		}
+		sweepWarning(rep, errs)
 		sum, err := stats.Summarize(kernel, series[memsim.ModeDDR], series[memsim.ModeEDRAM])
 		if err != nil {
 			return nil, err
@@ -123,10 +126,11 @@ func runTable5(ctx context.Context, opt Options) (*Report, error) {
 		"Kernel", "ddr best", "best f/c/h", "avg speedup f/c/h", "max speedup f/c/h")
 	csv := []string{csvLine("kernel", "ddr_best", "mode", "best", "avg_gap", "max_gap", "avg_speedup", "max_speedup")}
 	for _, kernel := range kernelOrder {
-		series, _, err := kernelSeries(ctx, "knl", kernel, opt)
+		series, errs, err := kernelSeries(ctx, "knl", kernel, opt)
 		if err != nil {
 			return nil, err
 		}
+		sweepWarning(rep, errs)
 		base := series[memsim.ModeDDR]
 		var bests, avgs, maxs []string
 		ddrBest := 0.0

@@ -2,9 +2,8 @@ package lint
 
 // goroleak: every goroutine spawned in internal/ must have a provable
 // bounded exit. A leaked goroutine is invisible until a drain hangs or
-// a test binary never exits — the serve daemon's async sweep jobs are
-// the motivating case. Accepted proofs, checked on the spawned body (a
-// function literal or a resolved module function):
+// a test binary never exits. Accepted proofs, checked on the spawned
+// body (a function literal or a resolved module function):
 //
 //   - no unbounded loop at all (the body runs to its return);
 //   - every unconditional for-loop returns or breaks somewhere (the

@@ -37,9 +37,8 @@ func MetricsHandler(r *Registry, manifest func() *Manifest) http.Handler {
 }
 
 // Serve starts a debug HTTP server on addr exposing net/http/pprof
-// (/debug/pprof/), Go's runtime vars via expvar (/debug/vars), the
-// live registry dump (/metrics), and the Prometheus text-exposition
-// rendering (/metrics/prom). It returns the server and its bound
+// (/debug/pprof/), Go's runtime vars via expvar (/debug/vars) and the
+// live registry dump (/metrics). It returns the server and its bound
 // address (useful with ":0") and never blocks; Close the server to
 // stop it. The handlers are mounted on a private mux so importing this
 // package does not pollute http.DefaultServeMux.
@@ -56,7 +55,6 @@ func Serve(addr string, r *Registry, manifest func() *Manifest) (*http.Server, n
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", MetricsHandler(r, manifest))
-	mux.Handle("/metrics/prom", PromHandler(r))
 	srv := &http.Server{Handler: mux}
 	//opmlint:allow goroleak — http.Server.Serve exits when the returned *http.Server is Closed; the caller owns that lifecycle
 	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close

@@ -9,8 +9,8 @@ import (
 
 // Manifest is the provenance record attached to a run: what built and
 // drove it, on what, with which configuration. It rides in the
-// -metrics JSON dump (and on harness reports) but never in the
-// deterministic report bytes — two runs of the same configuration
+// -metrics JSON dump and on opmbench -pprof's /metrics but never in
+// the deterministic report bytes — two runs of the same configuration
 // produce identical reports and distinct manifests.
 type Manifest struct {
 	// Tool names the producer (e.g. "opmbench").

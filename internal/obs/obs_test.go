@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"math"
 	"net/http"
 	"strings"
@@ -212,38 +211,9 @@ func TestHashIsStableAndDiscriminating(t *testing.T) {
 	}
 }
 
-func TestParseLevelAndLoggers(t *testing.T) {
-	for s, want := range map[string]slog.Level{
-		"debug": slog.LevelDebug, "Info": slog.LevelInfo,
-		"WARN": slog.LevelWarn, "error": slog.LevelError,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseLevel(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("bad level accepted")
-	}
-	var buf bytes.Buffer
-	NewLogger(&buf, slog.LevelInfo, false).Info("hello", "k", 1)
-	if !strings.Contains(buf.String(), "hello") {
-		t.Fatal("text logger wrote nothing")
-	}
-	buf.Reset()
-	NewLogger(&buf, slog.LevelInfo, true).Info("hello")
-	if !strings.Contains(buf.String(), `"msg":"hello"`) {
-		t.Fatalf("json logger output %q", buf.String())
-	}
-	nop := NopLogger()
-	if nop.Enabled(nil, slog.LevelError) { //nolint:staticcheck // nil ctx fine for handler
-		t.Fatal("nop logger claims to be enabled")
-	}
-	nop.Info("dropped")
-}
-
 // TestServeEndpoints boots the debug server on an ephemeral port and
-// exercises /metrics, /debug/vars and a pprof index fetch.
+// exercises /metrics, /debug/vars and a pprof index fetch. The
+// Prometheus rendering is gone: /metrics/prom answers 404.
 func TestServeEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sweep/jobs").Add(7)
@@ -276,5 +246,13 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if body := get("/debug/pprof/cmdline"); body == "" {
 		t.Fatal("pprof cmdline empty")
+	}
+	resp, err := http.Get("http://" + addr.String() + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /metrics/prom: status %d, want 404", resp.StatusCode)
 	}
 }

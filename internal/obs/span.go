@@ -11,8 +11,7 @@ import (
 // observation of the registry histogram named by its path: ending two
 // spans with the same path records two observations, which is exactly
 // what a sweep of thousands of identical jobs needs, and each phase
-// shows up wherever histograms do: the snapshot, the Prometheus
-// summaries and SpanReport.
+// shows up wherever histograms do: the snapshot and SpanReport.
 type Span struct {
 	h     *Histogram
 	start time.Time

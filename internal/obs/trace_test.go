@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -261,72 +260,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram Quantile = %d, want 0", got)
-	}
-}
-
-// promSample is the exposition grammar of one sample line: a metric
-// name, an optional {label="escaped value"} set, and a value.
-var promSample = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"\})? (\S+)$`)
-
-// TestWriteProm checks the exposition rendering: nil-safe, counters
-// get _total, histograms (span phases included) render as summaries
-// with the three quantile series, and every line parses under the
-// exposition grammar even when a name carries a '-', a quote or a
-// newline — an -admit class, an experiment ID, a hostile path.
-func TestWriteProm(t *testing.T) {
-	var nilReg *Registry
-	var buf bytes.Buffer
-	if err := nilReg.WriteProm(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil registry wrote %q, err %v", buf.String(), err)
-	}
-
-	r := NewRegistry()
-	r.Counter("sweep/jobs").Add(7)
-	r.Gauge("sweep/workers").Set(4)
-	r.Histogram("sweep/job_latency").Observe(time.Millisecond)
-	r.Histogram("serve/latency/my-class").Observe(time.Millisecond)
-	r.StartSpan("exp/ext-skylake").End()
-	r.StartSpan("exp/evil\"path\n2").End()
-	if err := r.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE opm_sweep_jobs_total counter\nopm_sweep_jobs_total 7\n",
-		"# TYPE opm_sweep_workers gauge\nopm_sweep_workers 4\n",
-		"# HELP opm_sweep_job_latency_seconds ",
-		"# TYPE opm_sweep_job_latency_seconds summary\n",
-		`opm_sweep_job_latency_seconds{quantile="0.5"}`,
-		`opm_sweep_job_latency_seconds{quantile="0.95"}`,
-		`opm_sweep_job_latency_seconds{quantile="0.99"}`,
-		"opm_sweep_job_latency_seconds_count 1\n",
-		"opm_serve_latency_my_class_seconds_count 1\n",
-		"opm_exp_ext_skylake_seconds_count 1\n",
-		"opm_exp_evil_path_2_seconds_count 1\n",
-		"# HELP opm_exp_evil_path_2_seconds latency summary of registry histogram exp/evil\"path\\n2 ",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q in:\n%s", want, out)
-		}
-	}
-	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if rest, ok := strings.CutPrefix(line, "# "); ok {
-			f := strings.SplitN(rest, " ", 3)
-			if len(f) < 3 || (f[0] != "HELP" && f[0] != "TYPE") || !promSample.MatchString(f[1]+" 0") {
-				t.Fatalf("malformed comment line %q", line)
-			}
-			continue
-		}
-		m := promSample.FindStringSubmatch(line)
-		if m == nil {
-			t.Fatalf("sample line %q breaks the exposition grammar", line)
-		}
-		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
-			t.Fatalf("line %q value %q not numeric: %v", line, m[3], err)
-		}
-	}
-	if promEscape("a\"b\\c\nd") != `a\"b\\c\nd` {
-		t.Fatalf("promEscape wrong: %q", promEscape("a\"b\\c\nd"))
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 // reservation: tokens go negative, each waiter sleeps until its
 // reserved refill instant) or, when the queue is full, is rejected
 // with an OverloadError carrying the Retry-After hint. Classes are
-// independent buckets, so batch traffic cannot starve interactive
-// queries.
+// independent buckets, so one class's traffic cannot starve another's.
 
 // ClassConfig is one admission class's token bucket.
 type ClassConfig struct {
@@ -30,12 +29,10 @@ type ClassConfig struct {
 }
 
 // DefaultClasses returns the admission classes the daemon starts
-// with. "interactive" is /v1/query's default and "batch" is
-// /v1/sweep's.
+// with: "interactive", /v1/query's default.
 func DefaultClasses() map[string]ClassConfig {
 	return map[string]ClassConfig{
 		"interactive": {Rate: 200, Burst: 50, Queue: 64},
-		"batch":       {Rate: 50, Burst: 16, Queue: 256},
 	}
 }
 
@@ -187,22 +184,23 @@ func (a *admission) names() []string {
 	return out
 }
 
-// has reports whether class is configured. Serving paths use it to
-// keep client-supplied class strings from minting metric names.
-func (a *admission) has(class string) bool {
-	_, ok := a.classes[class]
-	return ok
+// check refuses a class that is not configured: the class set is
+// server configuration, not client input to expand, and each class
+// names a metric.
+func (a *admission) check(class string) error {
+	if _, ok := a.classes[class]; !ok {
+		return &requestError{fmt.Errorf("serve: unknown admission class %q", class)}
+	}
+	return nil
 }
 
 // acquire admits one request under class, blocking in the class's wait
-// queue if needed. Unknown classes are rejected outright — the class
-// set is server configuration, not client input to expand.
+// queue if needed. Unknown classes are rejected outright.
 func (a *admission) acquire(ctx context.Context, class string) (time.Duration, error) {
-	b, ok := a.classes[class]
-	if !ok {
-		return 0, &requestError{fmt.Errorf("serve: unknown admission class %q", class)}
+	if err := a.check(class); err != nil {
+		return 0, err
 	}
-	return b.acquire(ctx, class)
+	return a.classes[class].acquire(ctx, class)
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

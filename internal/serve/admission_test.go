@@ -190,10 +190,8 @@ func TestAdmissionClassValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, class := range []string{"interactive", "batch"} {
-		if _, ok := a.classes[class]; !ok {
-			t.Fatalf("default class %q missing", class)
-		}
+	if names := a.names(); len(names) != 1 || names[0] != "interactive" {
+		t.Fatalf("default classes %v, want [interactive]", names)
 	}
 	if _, err := a.acquire(context.Background(), "no-such-class"); err == nil {
 		t.Fatal("unknown class admitted")

@@ -19,10 +19,9 @@ import (
 // stored bytes — so a query warmed by an opmbench run is a store hit,
 // and a cell computed by the daemon warms later opmbench runs.
 
-// QueryRequest is the body of POST /v1/query and one element of
-// POST /v1/sweep. The cell family is inferred: a kernel + footprint is
-// a curve cell (Stream/Stencil/FFT), a kind + n + nb is a dense cell
-// (GEMM/Cholesky).
+// QueryRequest is the body of POST /v1/query. The cell family is
+// inferred: a kernel + footprint is a curve cell (Stream/Stencil/FFT),
+// a kind + n + nb is a dense cell (GEMM/Cholesky).
 type QueryRequest struct {
 	Platform string `json:"platform"` // "broadwell" | "knl"
 	Mode     string `json:"mode"`     // memsim mode label: ddr, edram, cache, flat, hybrid, edram-ms
@@ -36,8 +35,7 @@ type QueryRequest struct {
 	N    int    `json:"n,omitempty"`
 	NB   int    `json:"nb,omitempty"`
 
-	// Class is the admission class ("interactive" default here,
-	// "batch" on /v1/sweep).
+	// Class is the admission class (default "interactive").
 	Class string `json:"class,omitempty"`
 }
 

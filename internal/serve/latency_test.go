@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -11,9 +11,10 @@ import (
 
 // TestServeClassLatencyHistograms covers the per-class SLO surface:
 // every admission class's serve/latency/<class> histogram is
-// pre-registered at New (so the first Prometheus scrape carries the
-// full roster), traffic lands in its class's histogram, and a
-// client-typo'd class on a hot-set hit mints no metric name.
+// pre-registered at New (so the first /metrics scrape carries the full
+// roster), traffic lands in its class's histogram, and a client-typo'd
+// class answers 400 and mints no metric name, whether its cell is hot
+// or journaled.
 func TestServeClassLatencyHistograms(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := store.Open(t.TempDir(), reg)
@@ -21,23 +22,27 @@ func TestServeClassLatencyHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	srv, err := New(Config{Store: st, Registry: reg, Workers: 2})
+	classes := DefaultClasses()
+	classes["batch"] = ClassConfig{Rate: 50, Burst: 16, Queue: 256}
+	srv, err := New(Config{Store: st, Registry: reg, Classes: classes, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
 
-	// Pre-registration: both default classes are on /metrics/prom
-	// before any request, each with a zero count.
-	w := getPath(t, h, "/metrics/prom")
+	// Pre-registration: both classes are on /metrics before any
+	// request, each with a zero count.
+	w := getPath(t, h, "/metrics")
 	if w.Code != http.StatusOK {
-		t.Fatalf("prom scrape status %d", w.Code)
+		t.Fatalf("/metrics status %d", w.Code)
 	}
-	body := w.Body.String()
+	var snap obs.Snapshot
+	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
 	for _, class := range []string{"interactive", "batch"} {
-		mn := "opm_serve_latency_" + class + "_seconds"
-		if !strings.Contains(body, mn+"_count 0") {
-			t.Fatalf("first scrape missing pre-registered %s_count 0:\n%s", mn, body)
+		if hs, ok := snap.Histograms["serve/latency/"+class]; !ok || hs.Count != 0 {
+			t.Fatalf("first scrape: serve/latency/%s = %+v (listed %v), want pre-registered with count 0", class, hs, ok)
 		}
 	}
 
@@ -51,14 +56,33 @@ func TestServeClassLatencyHistograms(t *testing.T) {
 		t.Fatalf("serve/latency/batch count = %d, want 0", n)
 	}
 
-	// A hot-set hit under an unknown class serves fine (it never
-	// reaches admission) but must not mint a histogram from the typo.
-	q.Class = "interactiv"
-	if r := decodeQuery(t, postQuery(t, h, "/v1/query", q)); r.Source != "hot" {
-		t.Fatalf("repeat source %q, want hot", r.Source)
+	// An unknown class answers 400 for a hot cell as for a cold one,
+	// and mints no histogram from the typo.
+	typo := q
+	typo.Class = "interactiv"
+	if w := postQuery(t, h, "/v1/query", typo); w.Code != http.StatusBadRequest {
+		t.Fatalf("hot cell under an unknown class: status %d, want 400 (%s)", w.Code, w.Body)
 	}
 	if _, ok := reg.Snapshot().Histograms["serve/latency/interactiv"]; ok {
 		t.Fatal("client-supplied class minted a histogram name")
+	}
+
+	// So does a journaled cell, on a fresh daemon over the same store;
+	// the same query under its known class is a store hit.
+	reg2 := obs.NewRegistry()
+	srv2, err := New(Config{Store: st, Registry: reg2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2 := srv2.Handler()
+	if w := postQuery(t, h2, "/v1/query", typo); w.Code != http.StatusBadRequest {
+		t.Fatalf("journaled cell under an unknown class: status %d, want 400 (%s)", w.Code, w.Body)
+	}
+	if _, ok := reg2.Snapshot().Histograms["serve/latency/interactiv"]; ok {
+		t.Fatal("client-supplied class minted a histogram name")
+	}
+	if r := decodeQuery(t, postQuery(t, h2, "/v1/query", q)); r.Source != "store" {
+		t.Fatalf("known class on the fresh daemon: source %q, want store", r.Source)
 	}
 }
 

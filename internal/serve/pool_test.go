@@ -111,3 +111,20 @@ func TestWorkerPoolWaitHonorsContext(t *testing.T) {
 		t.Fatalf("run after release on worker %d, want 0", id)
 	}
 }
+
+// TestWorkerPoolRunCancelledBeforeEnqueue proves a cancelled caller
+// never dispatches: fn must not run and no worker stays lent out.
+func TestWorkerPoolRunCancelledBeforeEnqueue(t *testing.T) {
+	pool := newWorkerPool(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := pool.run(ctx, func(w *sweep.Worker) {
+		t.Error("fn ran under a cancelled context")
+	})
+	if err == nil {
+		t.Fatal("run with cancelled context returned nil error")
+	}
+	if n := pool.busy(); n != 0 {
+		t.Fatalf("%d workers lent out after a cancelled run, want 0", n)
+	}
+}

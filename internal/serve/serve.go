@@ -60,11 +60,6 @@ type Config struct {
 	// Classes overrides the admission classes (default
 	// DefaultClasses).
 	Classes map[string]ClassConfig
-	// BaseContext is the root context async sweep jobs run under. The
-	// server derives a cancellable child from it, cancelled when Drain
-	// gives up, so an interrupted drain never strands headless
-	// goroutines computing forever. Nil means a process-lifetime root.
-	BaseContext context.Context
 }
 
 // Server is the daemon: an http.Handler plus the serving layers.
@@ -78,17 +73,9 @@ type Server struct {
 	pool *workerPool
 	cat  *catalog
 
-	jobs *jobTable
-
 	drainMu  sync.RWMutex
 	draining atomic.Bool
 	inflight sync.WaitGroup
-
-	// base is the detached context async sweep jobs run under;
-	// cancelBase fires when a drain is interrupted so that work stops
-	// instead of leaking.
-	base       context.Context
-	cancelBase context.CancelFunc
 
 	startNS int64
 }
@@ -111,16 +98,10 @@ func New(cfg Config) (*Server, error) {
 		hot:     newHotSet(cfg.HotSet),
 		adm:     adm,
 		cat:     newCatalog(),
-		jobs:    newJobTable(64),
 		startNS: nowNS(),
 	}
-	base := cfg.BaseContext
-	if base == nil {
-		base = context.Background() //opmlint:allow ctxflow — the daemon's process-lifetime root when the owner injects no BaseContext; Drain cancels the derived child
-	}
-	s.base, s.cancelBase = context.WithCancel(base)
-	// Pre-register every class's SLO histogram so /metrics/prom carries
-	// the full class roster from the first scrape, not on first traffic.
+	// Pre-register every class's SLO histogram so /metrics carries the
+	// full class roster from the first scrape, not on first traffic.
 	for _, name := range adm.names() {
 		s.reg.Histogram("serve/latency/" + name) //opmlint:allow counternames — class names are the closed admission-config set validated by newAdmission
 	}
@@ -129,13 +110,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // observeClass records one request's end-to-end latency in its
-// admission class's SLO histogram. Unknown classes are dropped rather
-// than minting metric names from client input — hot-set hits skip
-// admission, so a typo'd class can reach here without being rejected.
+// admission class's SLO histogram. answer refuses an unknown class
+// before it times anything, so client input never mints a metric name.
 func (s *Server) observeClass(class string, d time.Duration) {
-	if !s.adm.has(class) {
-		return
-	}
 	s.reg.Histogram("serve/latency/" + class).Observe(d) //opmlint:allow counternames — the class set is closed server configuration, validated by newAdmission
 }
 
@@ -148,12 +125,9 @@ func nowNS() int64 {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/query", s.timed("serve/latency/query", s.handleQuery))
-	mux.Handle("POST /v1/sweep", s.timed("serve/latency/sweep", s.handleSweep))
-	mux.Handle("GET /v1/jobs/{id}", s.timed("serve/latency/jobs", s.handleJob))
 	mux.Handle("GET /v1/healthz", s.timed("serve/latency/healthz", s.handleHealthz))
 	mux.Handle("GET /v1/stats", s.timed("serve/latency/stats", s.handleStats))
 	mux.Handle("GET /metrics", obs.MetricsHandler(s.reg, nil))
-	mux.Handle("GET /metrics/prom", obs.PromHandler(s.reg))
 	return mux
 }
 
@@ -183,9 +157,10 @@ func (s *Server) begin() bool {
 func (s *Server) done() { s.inflight.Done() }
 
 // Drain gracefully shuts serving down: new requests are rejected with
-// 503 and every accepted request (including queued admissions and
-// async sweep jobs) runs to completion. ctx bounds the wait.
-// Idempotent.
+// 503 and every accepted request (including queued admissions) runs to
+// completion. ctx bounds the wait: if it expires first, Drain returns
+// an error and the requests still in flight finish under their own
+// contexts. Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	first := !s.draining.Load()
@@ -201,15 +176,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-doneC:
+		return nil
 	case <-ctx.Done():
-		// Giving up on the wait must not strand the work: cancel the
-		// base context so sweep jobs running under it stop at their
-		// next context check instead of computing headless forever.
-		s.cancelBase()
 		return fmt.Errorf("serve: drain interrupted with work in flight: %w", ctx.Err())
 	}
-	s.cancelBase()
-	return nil
 }
 
 // Draining reports whether graceful shutdown has begun.
@@ -269,8 +239,13 @@ func writeQueryError(w http.ResponseWriter, err error) {
 }
 
 // answer runs the full serving path for one request. The caller must
-// hold a begin() slot.
+// hold a begin() slot. An unknown admission class is refused first, so
+// a query answers 400 for it whether its cell is hot, journaled or
+// cold.
 func (s *Server) answer(ctx context.Context, req QueryRequest) (QueryResponse, error) {
+	if err := s.adm.check(req.Class); err != nil {
+		return QueryResponse{}, err
+	}
 	start := nowNS()
 	defer func() {
 		s.observeClass(req.Class, time.Duration(nowNS()-start))
@@ -408,7 +383,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats reports the serving posture: cache occupancy, pool
-// shape, uptime, and job counts. Detailed counters live on /metrics.
+// shape and uptime. Detailed counters live on /metrics.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := map[string]any{
 		"uptime_seconds": float64(nowNS()-s.startNS) / 1e9,
@@ -419,7 +394,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		"workers": s.pool.size(),
 		"busy":    s.pool.busy(),
-		"jobs":    s.jobs.counts(),
 	}
 	if s.st != nil {
 		st := s.st.Stats()

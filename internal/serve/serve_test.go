@@ -50,8 +50,8 @@ func decodeQuery(t *testing.T, w *httptest.ResponseRecorder) *QueryResponse {
 	return &resp
 }
 
-// syncBuffer is a mutex-guarded trace sink: the daemon's async sweep
-// jobs may still be emitting while a test reads it.
+// syncBuffer is a mutex-guarded trace sink, so a test may read it
+// while the daemon emits.
 type syncBuffer struct {
 	mu  sync.Mutex
 	buf bytes.Buffer
@@ -382,74 +382,49 @@ func TestServeGracefulDrainLosesNothing(t *testing.T) {
 	}
 }
 
-// TestServeSweepJobs covers the async batch endpoint: accepted sweeps
-// answer every cell through the same serving path and report through
-// the job table; unknown jobs 404.
-func TestServeSweepJobs(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv, err := New(Config{Registry: reg, Workers: 2})
+// TestDrainInterruptedCancelsBase: when Drain's ctx expires with work
+// still in flight, Drain returns an error, and the server refuses every
+// later request with 503.
+func TestDrainInterruptedCancelsBase(t *testing.T) {
+	srv, err := New(Config{Registry: obs.NewRegistry(), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := srv.Handler()
+	if !srv.begin() {
+		t.Fatal("begin refused before drain")
+	}
+	defer srv.done()
 
-	req := SweepRequest{Queries: []QueryRequest{
-		{Platform: "broadwell", Mode: "ddr", Kind: "GEMM", N: 1024, NB: 128},
-		{Platform: "broadwell", Mode: "edram", Kind: "Cholesky", N: 1024, NB: 256},
-	}}
-	w := postQuery(t, h, "/v1/sweep", req)
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("sweep status %d: %s", w.Code, w.Body)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Drain(ctx); err == nil {
+		t.Fatal("interrupted drain returned nil error")
 	}
-	var acc map[string]string
-	if err := json.Unmarshal(w.Body.Bytes(), &acc); err != nil {
-		t.Fatal(err)
+	if srv.begin() {
+		srv.done()
+		t.Fatal("begin accepted work after an interrupted drain")
 	}
-	id := acc["job"]
-	if id == "" {
-		t.Fatal("sweep returned no job ID")
-	}
-
-	var job JobStatus
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		w := getPath(t, h, "/v1/jobs/"+id)
-		if w.Code != http.StatusOK {
-			t.Fatalf("job poll status %d: %s", w.Code, w.Body)
-		}
-		if err := json.Unmarshal(w.Body.Bytes(), &job); err != nil {
-			t.Fatal(err)
-		}
-		if job.State == "done" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never finished: %+v", job)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if job.Total != 2 || job.Done != 2 || job.Failed != 0 {
-		t.Fatalf("job = %+v, want 2/2 done, 0 failed", job)
-	}
-	for i, r := range job.Results {
-		if r == nil || r.GFlops <= 0 {
-			t.Fatalf("result %d empty: %+v", i, r)
-		}
-	}
-	if w := getPath(t, h, "/v1/jobs/job-404"); w.Code != http.StatusNotFound {
-		t.Fatalf("unknown job status %d, want 404", w.Code)
-	}
-
-	// A repeat sweep answers from the hot set the first one filled.
-	decodeQuery(t, postQuery(t, h, "/v1/query", req.Queries[0]))
-	if reg.Counter("serve/hits").Value() == 0 {
-		t.Fatal("sweep results did not warm the hot set")
+	q := QueryRequest{Platform: "broadwell", Mode: "ddr", Kind: "GEMM", N: 512, NB: 128}
+	if w := postQuery(t, srv.Handler(), "/v1/query", q); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("query after an interrupted drain: status %d, want 503", w.Code)
 	}
 }
 
-// TestServeStrictBodies: a query or sweep body with anything but
-// whitespace after its JSON value, or with a field the request types
-// do not name, is refused with 400 before it is answered. That covers
+// TestDrainCleanShutsPoolAndBase: an uncontested drain returns nil
+// within its ctx.
+func TestDrainCleanShutsPoolAndBase(t *testing.T) {
+	srv, err := New(Config{Registry: obs.NewRegistry(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatalf("clean drain: %v", err)
+	}
+}
+
+// TestServeStrictBodies: a query body with anything but whitespace
+// after its JSON value, or with a field the request type does not
+// name, is refused with 400 before it is answered. That covers
 // "estimator", a field the query API no longer has: every cell is
 // exact.
 func TestServeStrictBodies(t *testing.T) {
@@ -460,33 +435,29 @@ func TestServeStrictBodies(t *testing.T) {
 	h := srv.Handler()
 	dense := `{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256}`
 	for name, c := range map[string]struct {
-		path, body string
-		code       int
+		body string
+		code int
 	}{
-		"trailing text":       {"/v1/query", dense + " this is not json", http.StatusBadRequest},
-		"second value":        {"/v1/query", dense + dense, http.StatusBadRequest},
-		"unknown field":       {"/v1/query", `{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256,"nbb":7}`, http.StatusBadRequest},
-		"sweep trailing text": {"/v1/sweep", `{"queries":[` + dense + `]} this is not json`, http.StatusBadRequest},
-		"sweep unknown field": {"/v1/sweep", `{"queries":[` + dense + `],"klass":"batch"}`, http.StatusBadRequest},
-		"sweep query field":   {"/v1/sweep", `{"queries":[{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nbb":7}]}`, http.StatusBadRequest},
-		"twin-first field":    {"/v1/query", `{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256,"estimator":"twin-first"}`, http.StatusBadRequest},
-		"exact field":         {"/v1/query", `{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256,"estimator":"exact"}`, http.StatusBadRequest},
-		"trailing newline":    {"/v1/query", dense + "\n", http.StatusOK},
-		"surrounding spaces":  {"/v1/query", " \t" + dense + " \r\n ", http.StatusOK},
+		"trailing text":      {dense + " this is not json", http.StatusBadRequest},
+		"second value":       {dense + dense, http.StatusBadRequest},
+		"unknown field":      {`{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256,"nbb":7}`, http.StatusBadRequest},
+		"twin-first field":   {`{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256,"estimator":"twin-first"}`, http.StatusBadRequest},
+		"exact field":        {`{"platform":"broadwell","mode":"edram","kind":"GEMM","n":2048,"nb":256,"estimator":"exact"}`, http.StatusBadRequest},
+		"trailing newline":   {dense + "\n", http.StatusOK},
+		"surrounding spaces": {" \t" + dense + " \r\n ", http.StatusOK},
 	} {
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("POST", c.path, strings.NewReader(c.body)))
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/query", strings.NewReader(c.body)))
 		if w.Code != c.code {
 			t.Errorf("%s: status %d, want %d (%s)", name, w.Code, c.code, w.Body)
 		}
 	}
-	if got := srv.jobs.counts()["tracked"]; got != 0 {
-		t.Fatalf("%d sweep jobs created from refused bodies", got)
-	}
 }
 
 // TestServeBadRequests pins the 400 surface: malformed shapes are
-// rejected before touching admission or the pool.
+// rejected before touching admission or the pool. The removed async
+// batch API and Prometheus rendering answer 404: /v1/query and
+// /metrics are their one home.
 func TestServeBadRequests(t *testing.T) {
 	srv, err := New(Config{Workers: 1})
 	if err != nil {
@@ -506,8 +477,17 @@ func TestServeBadRequests(t *testing.T) {
 			t.Fatalf("%s: status %d, want 400 (%s)", name, w.Code, w.Body)
 		}
 	}
-	if w := postQuery(t, h, "/v1/sweep", SweepRequest{}); w.Code != http.StatusBadRequest {
-		t.Fatalf("empty sweep status %d, want 400", w.Code)
+	batch := `{"queries":[{"platform":"broadwell","mode":"ddr","kind":"GEMM","n":512,"nb":128}]}`
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/v1/sweep", batch},
+		{"GET", "/v1/jobs/job-1", ""},
+		{"GET", "/metrics/prom", ""},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if w.Code != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404 (%s)", c.method, c.path, w.Code, w.Body)
+		}
 	}
 	if w := getPath(t, h, "/v1/stats"); w.Code != http.StatusOK {
 		t.Fatalf("stats status %d: %s", w.Code, w.Body)
